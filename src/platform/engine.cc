@@ -6,7 +6,6 @@
 #include <unordered_map>
 
 #include "common/check.h"
-#include "common/random.h"
 #include "platform/checkpoint.h"
 #include "platform/clock.h"
 #include "platform/epoch.h"
@@ -14,15 +13,6 @@
 #include "platform/spsc_ring.h"
 
 namespace streamlib::platform {
-
-namespace {
-
-/// Per-task trace event buffer size. Bounds tracing memory regardless of
-/// run length; overflow overwrites oldest events (counted, and affected
-/// trees are marked incomplete rather than silently miswired).
-constexpr size_t kTraceRingCapacity = 4096;
-
-}  // namespace
 
 Status EngineConfig::Validate() const {
   if (queue_capacity == 0) {
@@ -82,22 +72,6 @@ Status EngineConfig::Validate() const {
   return Status::OK();
 }
 
-/// A unit of data in flight between tasks.
-struct Message {
-  Tuple tuple;
-  uint64_t root_id = 0;          // Ack-tree root; 0 = untracked.
-  uint64_t edge_id = 0;          // This delivery's ledger entry.
-  uint64_t emit_time_nanos = 0;  // Spout emission time (end-to-end latency).
-  // Producing task's global index. Barrier alignment needs it: an MPMC
-  // input queue merges producers, but the aligner must know *whose*
-  // barrier (and whose post-barrier data) each message is.
-  uint32_t producer_task = 0;
-  // Sampled tracing (all 0 on untraced tuples — the common case).
-  uint64_t trace_id = 0;            // Root span id of the sampled tree.
-  uint64_t trace_parent_span = 0;   // Span of the hop that emitted this.
-  uint64_t trace_enqueue_nanos = 0; // Stage time (queue-wait measurement).
-};
-
 /// Event sent to the acker thread.
 struct TopologyEngine::AckerEvent {
   enum Kind { kInit, kUpdate };
@@ -107,30 +81,17 @@ struct TopologyEngine::AckerEvent {
   size_t spout_task = 0;  // kInit only.
 };
 
-/// One parallel instance of a component.
+/// One parallel instance of a component: the shared stage state plus the
+/// live engine's wiring.
 ///
 /// Bolt tasks own exactly one input channel: a lock-free SPSC ring when the
 /// task has a single producer task in dedicated mode (the common
 /// spout→bolt pipeline edge), otherwise the mutex-based MPMC BlockingQueue.
 /// The In* helpers dispatch to whichever is present.
-struct TopologyEngine::Task {
-  size_t global_index = 0;
-  size_t component_index = 0;
-  uint32_t task_index = 0;
-  std::unique_ptr<Spout> spout;
-  std::unique_ptr<Bolt> bolt;
+struct TopologyEngine::Task : StageTask {
   std::unique_ptr<BlockingQueue<Message>> queue;  // Bolts, multi-producer.
   std::unique_ptr<SpscRing<Message>> ring;        // Bolts, single-producer.
   std::unique_ptr<TaskCollector> collector;
-  TaskMetrics* metrics = nullptr;
-  std::unique_ptr<TraceRing> trace_ring;  // Null when tracing is disabled.
-  // Fault-injection decision streams, null when injection is disabled.
-  // All are consulted only by the thread currently running this task
-  // (which the engine serializes), so each stream is deterministic.
-  std::unique_ptr<FaultSite> transport_faults;  // Stage: drop/dup/delay.
-  std::unique_ptr<FaultSite> executor_faults;   // Execute/crash/acker loss.
-  std::unique_ptr<FaultSite> stall_faults;      // Input-queue drain stalls.
-  std::unique_ptr<FaultSite> barrier_faults;    // Barrier drop/delay.
 
   // Epoch-barrier state (null/empty unless epoch_interval_tuples > 0; all
   // touched only by the thread currently running this task).
@@ -183,17 +144,9 @@ struct TopologyEngine::Task {
   bool InClosed() const { return ring ? ring->Closed() : queue->Closed(); }
 };
 
-/// A subscription edge resolved to concrete target tasks.
-struct TopologyEngine::Edge {
-  Grouping grouping;
-  std::vector<Task*> targets;
-  // Realized as an in-thread fused hop: no queue, no staging slot; the
-  // producer's Emit runs the consumer's chain inline (RunFusedChain).
-  bool fused = false;
-};
-
-/// Engine-side OutputCollector for one task: routes, anchors, applies
-/// backpressure, and accumulates the XOR of created edge ids.
+/// Engine-side OutputCollector for one task: anchors, stages each routed
+/// copy for its target (the Wire end of StageGraph::Send), applies
+/// backpressure, and stages the task's acker traffic (its AckSink).
 ///
 /// Emissions do not hit downstream queues directly: they accumulate in
 /// per-target staging buffers and flush as one batch push when a buffer
@@ -202,44 +155,31 @@ struct TopologyEngine::Edge {
 /// batch while preserving per-target FIFO order. Acker traffic (kInit from
 /// spouts, kUpdate from bolts) is staged and flushed the same way — one
 /// vector push per execute batch.
-class TopologyEngine::TaskCollector : public OutputCollector {
+class TopologyEngine::TaskCollector : public StageCollector,
+                                      public Wire,
+                                      public AckSink {
  public:
-  TaskCollector(TopologyEngine* engine, Task* task, uint64_t seed)
+  /// Builds one staging slot per distinct downstream task this task can
+  /// reach through a queued edge.
+  TaskCollector(TopologyEngine* engine, Task* task)
       : engine_(engine),
         task_(task),
-        rng_(seed),
-        batch_size_(std::max<size_t>(1, engine->config_.emit_batch_size)) {}
-
-  /// Called once after subscription edges are resolved: builds one staging
-  /// slot per distinct downstream task this task can route to.
-  void InitStaging() {
+        batch_size_(std::max<size_t>(1, engine->config_.emit_batch_size)) {
     slot_of_task_.assign(engine_->tasks_.size(), -1);
-    for (const Edge& edge : engine_->outgoing_[task_->component_index]) {
+    for (const StageEdge& edge :
+         engine_->graph_.outgoing(task_->component_index)) {
       if (edge.fused) continue;  // Fused hops bypass staging entirely.
-      for (Task* target : edge.targets) {
+      for (StageTask* target : edge.targets) {
         if (slot_of_task_[target->global_index] < 0) {
           slot_of_task_[target->global_index] =
               static_cast<int32_t>(slots_.size());
           slots_.emplace_back();
-          slots_.back().target = target;
+          slots_.back().target = engine_->tasks_[target->global_index].get();
           slots_.back().buffer.reserve(batch_size_);
         }
       }
     }
   }
-
-  /// Bolt path: set the anchoring context before Execute. `trace_id` and
-  /// `span` propagate the sampled trace (0 on untraced tuples): children
-  /// emitted during this Execute become spans parented under `span`.
-  void BeginExecute(uint64_t root_id, uint64_t emit_time_nanos,
-                    uint64_t trace_id, uint64_t span) {
-    current_root_ = root_id;
-    current_emit_time_ = emit_time_nanos;
-    current_trace_ = trace_id;
-    current_span_ = span;
-    xor_out_ = 0;
-  }
-  uint64_t EndExecute() { return xor_out_; }
 
   uint64_t LastRootId() const override { return last_spout_root_; }
 
@@ -249,8 +189,9 @@ class TopologyEngine::TaskCollector : public OutputCollector {
 
   void Emit(Tuple tuple) override {
     const bool from_spout = task_->spout != nullptr;
-    uint64_t root = current_root_;
-    uint64_t emit_time = current_emit_time_;
+    Message context;
+    context.root_id = root_;
+    context.emit_time_nanos = emit_time_;
     if (from_spout) {
       // Flight recorder tap: capture the emission before routing consumes
       // (moves) the tuple. Everything downstream is deterministic given
@@ -263,94 +204,53 @@ class TopologyEngine::TaskCollector : public OutputCollector {
       // reading the clock per tuple; executors sample exactly the stamped
       // tuples (and their descendants, which inherit the stamp).
       const uint32_t every = engine_->config_.latency_sample_every;
-      emit_time =
+      context.emit_time_nanos =
           every > 0 && total_emitted_ % every == 0 ? engine_->NowNanos() : 0;
       // Trace sampling rides the same counter: every Kth root becomes a
       // span tree, rooted at a span recorded right here.
       const uint32_t trace_every = engine_->config_.trace_sample_every;
       if (trace_every > 0 && total_emitted_ % trace_every == 0) {
-        current_trace_ =
-            engine_->next_span_id_.fetch_add(1, std::memory_order_relaxed);
-        current_span_ = current_trace_;
+        trace_id_ = engine_->graph_.NextSpanId();
+        span_ = trace_id_;
         task_->trace_ring->Record(TraceEvent{
-            current_trace_, current_trace_, /*parent_span=*/0,
+            trace_id_, trace_id_, /*parent_span=*/0,
             static_cast<uint32_t>(task_->global_index), engine_->NowNanos(),
             /*wait_nanos=*/0, /*execute_nanos=*/0});
       } else {
-        current_trace_ = 0;
-        current_span_ = 0;
+        trace_id_ = 0;
+        span_ = 0;
       }
       if (TracksTuples(engine_->config_.semantics)) {
-        root = engine_->next_root_id_.fetch_add(1, std::memory_order_relaxed);
+        context.root_id =
+            engine_->next_root_id_.fetch_add(1, std::memory_order_relaxed);
         engine_->inflight_roots_.fetch_add(1, std::memory_order_relaxed);
-        last_spout_root_ = root;
-        xor_out_ = 0;
+        last_spout_root_ = context.root_id;
       }
     }
+    context.trace_id = trace_id_;
+    context.trace_parent_span = span_;
 
-    // Fused chain head: run every downstream stage inline on this thread
-    // instead of routing into queues. The chain returns the XOR of poison
-    // edge ids for failed hops — 0 when everything succeeded, which under
-    // tracking makes the root's ledger resolve immediately (the same
-    // eventual outcome the queued path reaches after its ack round-trips).
-    if (!task_->fused_stages.empty()) {
-      const uint64_t chain_xor = engine_->RunFusedChain(
-          task_, std::move(tuple), root, emit_time, current_trace_,
-          current_span_);
-      total_emitted_++;
-      unflushed_emits_++;
-      if (TracksTuples(engine_->config_.semantics)) {
-        if (from_spout) {
-          StageAck(AckerEvent{AckerEvent::kInit, root, chain_xor,
-                              task_->global_index});
-        } else if (root != 0) {
-          xor_out_ ^= chain_xor;
-        }
-      }
-      return;
-    }
-
-    // Resolve this tuple's target task set across all outgoing edges.
-    targets_scratch_.clear();
-    for (const Edge& edge : engine_->outgoing_[task_->component_index]) {
-      switch (edge.grouping.kind) {
-        case GroupingKind::kBroadcast:
-          for (Task* target : edge.targets) targets_scratch_.push_back(target);
-          break;
-        case GroupingKind::kShuffle:
-          targets_scratch_.push_back(
-              edge.targets[rng_.NextBounded(edge.targets.size())]);
-          break;
-        case GroupingKind::kFields: {
-          const uint64_t h = HashOfValue(tuple.field(edge.grouping.field_index),
-                                         kFieldsGroupingHashSeed);
-          targets_scratch_.push_back(edge.targets[h % edge.targets.size()]);
-          break;
-        }
-        case GroupingKind::kGlobal:
-          targets_scratch_.push_back(edge.targets[0]);
-          break;
-      }
-    }
-
+    // A fused chain head runs every downstream stage inline on this thread
+    // instead of routing into queues; the chain's XOR collects poison ids
+    // for failed hops — 0 when everything succeeded, which under tracking
+    // makes the root's ledger resolve immediately (the same eventual
+    // outcome the queued path reaches after its ack round-trips).
     uint64_t edge_xor = 0;
-    for (size_t i = 0; i < targets_scratch_.size(); i++) {
-      const bool last = i + 1 == targets_scratch_.size();
-      edge_xor ^= Stage(targets_scratch_[i],
-                        last ? std::move(tuple) : Tuple(tuple), root,
-                        emit_time);
+    if (!task_->fused_stages.empty()) {
+      context.tuple = std::move(tuple);
+      engine_->DeliverFusedHop(task_, 0, context, &edge_xor);
+    } else {
+      edge_xor = engine_->graph_.Send(task_, std::move(tuple), context, this);
     }
     total_emitted_++;
     unflushed_emits_++;
 
-    if (TracksTuples(engine_->config_.semantics)) {
-      if (from_spout) {
-        // Register the root with its initial ledger value.
-        StageAck(AckerEvent{AckerEvent::kInit, root, edge_xor,
-                            task_->global_index});
-      } else if (root != 0) {
-        xor_out_ ^= edge_xor;
-      }
+    if (from_spout && context.root_id != 0) {
+      // Register the root with its initial ledger value.
+      acker_staging_.push_back(AckerEvent{AckerEvent::kInit, context.root_id,
+                                          edge_xor, task_->global_index});
+    } else if (context.root_id != 0) {
+      xor_out_ ^= edge_xor;
     }
   }
 
@@ -382,19 +282,17 @@ class TopologyEngine::TaskCollector : public OutputCollector {
     }
   }
 
-  void StageAck(const AckerEvent& event) {
-    // Acker-loss fault: only kUpdate events may be dropped. Dropping a
-    // kInit would leave the ledger entry uninitialized forever — the
-    // timeout scan skips those, so the root could never fail and the
-    // engine's drain would hang. Losing an update models the real failure
-    // (an executor's ack lost in transit): the root stays unresolved until
-    // the timeout fails it back to the spout.
-    if (event.kind == AckerEvent::kUpdate &&
-        task_->executor_faults != nullptr &&
-        task_->executor_faults->FireAckerLoss()) {
-      return;
-    }
-    acker_staging_.push_back(event);
+  /// AckSink: a bolt hop's kUpdate joins the staged acker traffic.
+  void Ack(uint64_t root, uint64_t value) override {
+    acker_staging_.push_back(AckerEvent{AckerEvent::kUpdate, root, value, 0});
+  }
+
+  /// Wire: stages one arriving copy for `target`, flushing the slot when
+  /// it reaches the batch size. The staging buffer is this engine's wire.
+  void Deliver(StageTask* target, Message&& message) override {
+    StagingSlot& slot = slots_[slot_of_task_[target->global_index]];
+    slot.buffer.push_back(std::move(message));
+    if (slot.buffer.size() >= batch_size_) FlushSlot(slot);
   }
 
   /// Flushes every staging buffer, the emitted-counter delta, and staged
@@ -422,69 +320,6 @@ class TopologyEngine::TaskCollector : public OutputCollector {
     Task* target = nullptr;
     std::vector<Message> buffer;
   };
-
-  /// Stages one copy for `target`; returns the XOR of the edge ids created
-  /// for this delivery (0 untracked — normally one id, a dropped delivery
-  /// still creates one, a duplicated delivery creates two). Flushes the
-  /// slot when it reaches the batch size. Transport faults (delay, drop,
-  /// duplicate) inject here — the staging buffer is this engine's wire.
-  uint64_t Stage(Task* target, Tuple&& tuple, uint64_t root,
-                 uint64_t emit_time) {
-    FaultSite* faults = task_->transport_faults.get();
-    if (faults != nullptr) {
-      const uint32_t delay_us = faults->DeliveryDelayMicros();
-      if (delay_us > 0) {
-        std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
-      }
-      if (faults->FireDropTuple()) {
-        // Transport loss: allocate and anchor the edge id but never stage
-        // the message — like a packet dropped after send. The ledger now
-        // holds a bit no execution will clear, so under at-least-once the
-        // root times out and the spout's OnFail replays it; at-most-once
-        // simply loses the tuple. Dropped deliveries never touch
-        // pending_messages_ (counted at flush), so the drain protocol is
-        // unaffected.
-        return root != 0 ? engine_->next_edge_id_.fetch_add(
-                               1, std::memory_order_relaxed)
-                         : 0;
-      }
-    }
-    const uint64_t edge_id =
-        root != 0
-            ? engine_->next_edge_id_.fetch_add(1, std::memory_order_relaxed)
-            : 0;
-    StagingSlot& slot = slots_[slot_of_task_[target->global_index]];
-    Message& message = slot.buffer.emplace_back();
-    message.tuple = std::move(tuple);
-    message.root_id = root;
-    message.edge_id = edge_id;
-    message.emit_time_nanos = emit_time;
-    message.producer_task = static_cast<uint32_t>(task_->global_index);
-    if (current_trace_ != 0) {
-      // Traced path only: one extra clock read to timestamp the enqueue
-      // (queue-wait = dequeue - enqueue at the consumer).
-      message.trace_id = current_trace_;
-      message.trace_parent_span = current_span_;
-      message.trace_enqueue_nanos = engine_->NowNanos();
-    }
-    uint64_t edge_xor = edge_id;
-    if (faults != nullptr && faults->FireDuplicateTuple()) {
-      // Redelivery: a second copy with its own ledger entry, so the XOR
-      // accounting stays balanced while downstream genuinely sees the
-      // tuple twice — the duplication at-least-once permits and the
-      // MillWheel-style DedupLedger exists to suppress.
-      const uint64_t dup_edge =
-          root != 0
-              ? engine_->next_edge_id_.fetch_add(1, std::memory_order_relaxed)
-              : 0;
-      Message dup = slot.buffer.back();  // Copy before any reallocation.
-      dup.edge_id = dup_edge;
-      slot.buffer.push_back(std::move(dup));
-      edge_xor ^= dup_edge;
-    }
-    if (slot.buffer.size() >= batch_size_) FlushSlot(slot);
-    return edge_xor;
-  }
 
   /// Pushes one slot's staged messages downstream as a batch. Fast path is
   /// a single non-blocking batch push; on a full queue the producer either
@@ -523,126 +358,46 @@ class TopologyEngine::TaskCollector : public OutputCollector {
 
   TopologyEngine* engine_;
   Task* task_;
-  Rng rng_;
   const size_t batch_size_;
   std::vector<StagingSlot> slots_;
   std::vector<int32_t> slot_of_task_;  // global task index -> slot or -1.
-  std::vector<Task*> targets_scratch_;
   std::vector<AckerEvent> acker_staging_;
   uint64_t total_emitted_ = 0;
   uint64_t unflushed_emits_ = 0;
-  uint64_t current_root_ = 0;
-  uint64_t current_emit_time_ = 0;
-  uint64_t current_trace_ = 0;
-  uint64_t current_span_ = 0;
-  uint64_t xor_out_ = 0;
   uint64_t last_spout_root_ = 0;
 };
 
 TopologyEngine::TopologyEngine(Topology topology, EngineConfig config)
     : topology_(std::move(topology)),
       config_(config),
-      clock_(config.clock != nullptr ? config.clock : Clock::Steady()) {}
+      clock_(config.clock != nullptr ? config.clock : Clock::Steady()),
+      graph_(config_, clock_, /*live=*/true) {}
 
 TopologyEngine::~TopologyEngine() = default;
 
 uint64_t TopologyEngine::NowNanos() const { return clock_->NowNanos(); }
 
 void TopologyEngine::BuildTasks() {
+  graph_.Build(topology_, &metrics_, [this] {
+    tasks_.push_back(std::make_unique<Task>());
+    return tasks_.back().get();
+  });
   const auto& components = topology_.components();
   std::vector<std::vector<Task*>> tasks_by_component(components.size());
-
-  if (config_.faults.Enabled()) {
-    fault_plan_ = std::make_unique<FaultPlan>(config_.faults);
+  for (auto& task : tasks_) {
+    tasks_by_component[task->component_index].push_back(task.get());
   }
 
-  for (size_t ci = 0; ci < components.size(); ci++) {
-    const ComponentSpec& spec = components[ci];
-    for (uint32_t ti = 0; ti < spec.parallelism; ti++) {
-      auto task = std::make_unique<Task>();
-      task->global_index = tasks_.size();
-      task->component_index = ci;
-      task->task_index = ti;
-      // Pre-register this task's metrics: the registry freezes before any
-      // worker thread starts, so the run phase never mutates it.
-      task->metrics = &metrics_.RegisterTask(spec.name, ti);
-      if (config_.trace_sample_every > 0) {
-        task->trace_ring = std::make_unique<TraceRing>(kTraceRingCapacity);
-      }
-      if (spec.is_spout) {
-        task->spout = spec.spout_factory();
-      } else {
-        task->bolt = spec.bolt_factory();
-      }
-      if (fault_plan_ != nullptr) {
-        // Site ids derive from the global task index, which is itself a
-        // pure function of the topology (component order × parallelism) —
-        // so a given (topology, seed) always yields the same per-site
-        // streams. One id-space slot per role.
-        task->transport_faults =
-            fault_plan_->MakeSite(task->global_index * 4 + 0, task->metrics);
-        task->executor_faults =
-            fault_plan_->MakeSite(task->global_index * 4 + 1, task->metrics);
-        if (config_.epoch_interval_tuples > 0) {
-          task->barrier_faults =
-              fault_plan_->MakeSite(task->global_index * 4 + 3, task->metrics);
-        }
-      }
-      task->collector = std::make_unique<TaskCollector>(
-          this, task.get(),
-          config_.seed ^ (0x9e3779b97f4a7c15ULL * (task->global_index + 1)));
-      tasks_by_component[ci].push_back(task.get());
-      tasks_.push_back(std::move(task));
-    }
-  }
-
-  // Resolve subscription edges into per-source outgoing lists, counting
-  // each consumer's distinct producer tasks on the way (the SPSC
-  // eligibility test).
-  outgoing_.assign(components.size(), {});
-  std::vector<uint64_t> producer_tasks(components.size(), 0);
-  std::vector<std::vector<bool>> counted(
-      components.size(), std::vector<bool>(components.size(), false));
-  for (size_t ci = 0; ci < components.size(); ci++) {
-    for (const Subscription& sub : components[ci].inputs) {
-      const size_t source = topology_.IndexOf(sub.source);
-      Edge edge;
-      edge.grouping = sub.grouping;
-      edge.targets = tasks_by_component[ci];
-      outgoing_[source].push_back(std::move(edge));
-      if (!counted[ci][source]) {
-        counted[ci][source] = true;
-        producer_tasks[ci] += components[source].parallelism;
-      }
-    }
-  }
-
-  // Fused-operator compilation (DESIGN.md §13): lower the topology into
-  // the dataflow IR, run the fusion pass, and wire each fused chain: the
-  // chain head keeps its thread and routes emissions through RunFusedChain;
-  // followers lose their input channel and thread — their bolts run inline
-  // on the head's thread, paired task i with task i (rule 7 guarantees
-  // equal parallelism on every fused edge).
-  plan_ = std::make_unique<TopologyPlan>(TopologyPlan::FromTopology(topology_));
-  FusionOptions fusion_options;
-  fusion_options.enable_fusion = config_.enable_fusion;
-  fusion_options.dedicated_mode = config_.mode == ExecutionMode::kDedicated;
-  fusion_options.tracked = TracksTuples(config_.semantics);
-  fusion_options.epochs_enabled =
-      config_.epoch_interval_tuples > 0 || config_.resume_from_epoch > 0;
-  fusion_options.recorder_attached = config_.recorder != nullptr;
-  plan_->RunFusionPass(fusion_options);
-  fused_edges_ = plan_->fused_edge_count();
-  for (const std::vector<size_t>& chain : plan_->chains()) {
-    for (size_t i = 0; i + 1 < chain.size(); i++) {
-      // Rule 9: a fused producer has exactly one outgoing edge.
-      outgoing_[chain[i]][0].fused = true;
-    }
-    const uint32_t chain_parallelism = components[chain[0]].parallelism;
-    for (uint32_t ti = 0; ti < chain_parallelism; ti++) {
-      Task* head = tasks_by_component[chain[0]][ti];
+  // Wire each fused chain (DESIGN.md §13): the chain head keeps its thread
+  // and runs every downstream stage inline (DeliverFusedHop); followers
+  // lose their input channel and thread — their bolts run on the head's
+  // thread, paired task i with task i (rule 6 guarantees equal
+  // parallelism on every fused edge).
+  fused_edges_ = graph_.plan()->fused_edge_count();
+  for (const std::vector<size_t>& chain : graph_.plan()->chains()) {
+    for (Task* head : tasks_by_component[chain[0]]) {
       for (size_t s = 1; s < chain.size(); s++) {
-        Task* follower = tasks_by_component[chain[s]][ti];
+        Task* follower = tasks_by_component[chain[s]][head->task_index];
         follower->fused_follower = true;
         head->fused_stages.push_back(follower);
       }
@@ -652,17 +407,13 @@ void TopologyEngine::BuildTasks() {
   // Input channels: a bolt task whose input has exactly one producer task
   // gets the lock-free SPSC ring (dedicated mode only — both endpoints are
   // single threads there); everything else gets the MPMC blocking queue.
+  // Fused followers have no input channel at all: their tuples arrive as
+  // inline calls on the chain head's thread.
   for (auto& task : tasks_) {
-    if (task->bolt == nullptr) continue;
-    // Fused followers have no input channel at all: their tuples arrive as
-    // inline calls on the chain head's thread. (No queue also means no
-    // queue-stall site — the fused analogue of a stall is simply the head
-    // thread running the stage.)
-    if (task->fused_follower) continue;
-    const bool spsc = config_.enable_spsc &&
-                      config_.mode == ExecutionMode::kDedicated &&
-                      producer_tasks[task->component_index] == 1;
-    if (spsc) {
+    if (task->bolt == nullptr || task->fused_follower) continue;
+    const uint64_t producers = graph_.producer_tasks(task->component_index);
+    if (config_.enable_spsc && config_.mode == ExecutionMode::kDedicated &&
+        producers == 1) {
       task->ring = std::make_unique<SpscRing<Message>>(config_.queue_capacity);
       spsc_edges_++;
     } else {
@@ -673,40 +424,19 @@ void TopologyEngine::BuildTasks() {
       // Alignment spans *producer tasks*, not components: every producer
       // task's collector broadcasts each barrier to every consumer task.
       task->aligner = std::make_unique<EpochAligner>(
-          producer_tasks[task->component_index],
+          producers,
           static_cast<uint64_t>(config_.epoch_align_timeout_seconds * 1e9),
           config_.resume_from_epoch);
     }
-    if (fault_plan_ != nullptr && config_.faults.queue_stall_prob > 0) {
-      // Queue-stall injection: the interceptor fires on the consumer
-      // thread after each successful drain with the drained count, and
-      // draws one stall decision per message (not per pop) — batch
-      // boundaries depend on thread timing, per-message consultation does
-      // not, which keeps the site's decision stream replayable.
-      task->stall_faults =
-          fault_plan_->MakeSite(task->global_index * 4 + 2, task->metrics);
-      Task* t = task.get();
-      auto stall = [t](size_t drained) {
-        for (size_t i = 0; i < drained; i++) {
-          const uint32_t stall_us = t->stall_faults->QueueStallMicros();
-          if (stall_us > 0) {
-            std::this_thread::sleep_for(std::chrono::microseconds(stall_us));
-          }
-        }
-      };
-      if (task->ring) {
-        task->ring->SetPopInterceptor(std::move(stall));
-      } else {
-        task->queue->SetPopInterceptor(std::move(stall));
-      }
-    }
   }
 
-  for (auto& task : tasks_) task->collector->InitStaging();
+  for (auto& task : tasks_) {
+    task->collector = std::make_unique<TaskCollector>(this, task.get());
+  }
   metrics_.Freeze();
   telemetry_.Bind(&metrics_, config_.telemetry_sample_interval_ms,
                   config_.trace_sample_every);
-  telemetry_.BindFaultPlan(fault_plan_.get());
+  telemetry_.BindFaultPlan(graph_.fault_plan());
   telemetry_.BindRecorder(config_.recorder);
 }
 
@@ -750,18 +480,23 @@ void TopologyEngine::DrainTraces() {
                                     dropped);
 }
 
-void TopologyEngine::SpoutLoop(Task* task) {
-  task->spout->Open(task->task_index,
-                    topology_.components()[task->component_index].parallelism);
-  RestoreTaskState(task);
-  // A fused chain head prepares its followers: they have no thread of
-  // their own, and their bolts will run inline right here.
-  for (Task* follower : task->fused_stages) {
-    follower->bolt->Prepare(
-        follower->task_index,
-        topology_.components()[follower->component_index].parallelism);
-    RestoreTaskState(follower);
+/// Opens or prepares `task` on the calling thread and restores it from the
+/// resume epoch, then does the same for its fused followers: they have no
+/// thread of their own, and their bolts run inline on this one.
+void TopologyEngine::PrepareOnThread(Task* task) {
+  const uint32_t parallelism =
+      topology_.components()[task->component_index].parallelism;
+  if (task->spout != nullptr) {
+    task->spout->Open(task->task_index, parallelism);
+  } else {
+    task->bolt->Prepare(task->task_index, parallelism);
   }
+  RestoreTaskState(task);
+  for (Task* follower : task->fused_stages) PrepareOnThread(follower);
+}
+
+void TopologyEngine::SpoutLoop(Task* task) {
+  PrepareOnThread(task);
   TaskCollector* collector = task->collector.get();
   const size_t batch = std::max<size_t>(1, config_.emit_batch_size);
   const bool track = TracksTuples(config_.semantics);
@@ -805,108 +540,74 @@ void TopologyEngine::SpoutLoop(Task* task) {
   }
 }
 
+/// The queued execute path: one loop for every popped batch. With epochs
+/// on, barriers feed the aligner, and data from a producer that already
+/// barriered past this task's aligned epoch is parked in `task->held`
+/// until alignment catches up, so a bolt's state at snapshot time contains
+/// exactly the effects of epochs <= the snapshot epoch.
 void TopologyEngine::ExecuteBatch(Task* task, std::span<Message> batch) {
-  // Epoch barriers in the stream demand per-message inspection (markers,
-  // alignment holds), so the aligned path replaces both the fused and the
-  // plain scalar path whenever barriers are enabled.
-  if (task->aligner != nullptr) {
-    ExecuteBatchAligned(task, batch);
+  // A batch-capable bolt takes the whole batch through one ExecuteBatch
+  // call. Barriers demand per-message inspection, and traced batches keep
+  // per-tuple delivery so their span trees stay per-hop-accurate.
+  if (task->aligner == nullptr && config_.enable_bolt_batch &&
+      batch.size() > 1 && task->bolt->BatchCapable() &&
+      std::none_of(batch.begin(), batch.end(),
+                   [](const Message& m) { return m.trace_id != 0; })) {
+    ExecuteBatchFused(task, batch);
     return;
   }
-  // Fused path: a batch-capable bolt takes the whole batch through one
-  // ExecuteBatch call. Traced batches keep per-tuple delivery so their
-  // span trees stay per-hop-accurate.
-  if (config_.enable_bolt_batch && batch.size() > 1 &&
-      task->bolt->BatchCapable()) {
-    bool any_traced = false;
-    for (const Message& message : batch) {
-      if (message.trace_id != 0) {
-        any_traced = true;
-        break;
+  size_t consumed = 0;  // Messages leaving the pending count this call.
+  size_t executed = 0;
+  bool crashed = false;
+  for (Message& message : batch) {
+    if (!crashed && task->aligner != nullptr) {
+      if (message.tuple.IsBarrier()) {
+        consumed++;
+        HandleBarrier(task, message.producer_task,
+                      message.tuple.barrier_epoch(), &executed, &crashed);
+        continue;
+      }
+      if (task->aligner->ShouldHold(message.producer_task)) {
+        // This producer already barriered ahead: the message belongs to a
+        // later epoch than this task has aligned on. It stays pending (the
+        // drain protocol keeps the topology open) until released.
+        task->held_tags.push_back(
+            task->aligner->HoldTag(message.producer_task));
+        task->held.push_back(std::move(message));
+        continue;
       }
     }
-    if (!any_traced) {
-      ExecuteBatchFused(task, batch);
-      return;
-    }
+    consumed++;
+    // After a crash the rest of the popped batch dies with the task — the
+    // in-memory input of a dead process, never executed and never acked;
+    // at-least-once replays it via the ack timeout.
+    if (!crashed) crashed = ExecuteQueued(task, message, &executed);
   }
-  TaskCollector* collector = task->collector.get();
-  size_t executed = 0;
-  for (Message& message : batch) {
-    if (ExecuteOne(task, message, &executed) == ExecOutcome::kCrashed) {
-      // The rest of the popped batch dies with the task — in-memory input
-      // of a dead process. Its messages were never executed and never
-      // acked; at-least-once replays them via the ack timeout. The bolt
-      // instance is rebuilt from its factory like a restarted worker.
-      RestartBolt(task);
-      break;
-    }
+  if (crashed && !task->held.empty()) {
+    // Held input dies with the crashed task too.
+    consumed += task->held.size();
+    task->held.clear();
+    task->held_tags.clear();
   }
   // Children enqueue (and acker events post) before the parents' pending
   // count releases, so pending_messages_ == 0 always means fully drained.
-  collector->FlushAll();
+  task->collector->FlushAll();
   task->metrics->IncExecuted(executed);
-  FinishPending(batch.size());
+  FinishPending(consumed);
 }
 
-/// Runs one input tuple through the bolt: tracing, throw-catch, latency,
-/// the post-Execute crash draw, and ack staging. kFailed = Execute threw
-/// (tuple fails, engine continues); kCrashed = the task "process" died
-/// after Execute (the caller restarts the bolt and decides the fate of any
-/// not-yet-executed input it holds).
-TopologyEngine::ExecOutcome TopologyEngine::ExecuteOne(Task* task,
-                                                       Message& message,
-                                                       size_t* executed) {
+/// Runs one queued or released message through the stage runner, its ack
+/// landing in the task's acker staging. On a crash the bolt is rebuilt
+/// like a restarted worker and the caller drops the input it still holds.
+bool TopologyEngine::ExecuteQueued(Task* task, const Message& message,
+                                   size_t* executed) {
   TaskCollector* collector = task->collector.get();
-  FaultSite* faults = task->executor_faults.get();
-  // Tracing costs exactly this one branch on untraced tuples; traced
-  // hops pay the span allocation and two clock reads.
-  uint64_t hop_span = 0;
-  uint64_t execute_start = 0;
-  if (message.trace_id != 0) {
-    hop_span = next_span_id_.fetch_add(1, std::memory_order_relaxed);
-    execute_start = NowNanos();
-  }
-  collector->BeginExecute(message.root_id, message.emit_time_nanos,
-                          message.trace_id, hop_span);
-  bool ok = true;
-  try {
-    if (faults != nullptr && faults->FireBoltThrow()) {
-      throw InjectedBoltError("injected bolt failure");
-    }
-    task->bolt->Execute(message.tuple, collector);
-  } catch (...) {
-    // A throwing Execute fails the tuple, never the engine: whatever
-    // children it emitted before throwing stay anchored, no ack is
-    // recorded, and under at-least-once the root times out into the
-    // spout's OnFail.
-    ok = false;
-    task->metrics->IncBoltExceptions();
-  }
-  const uint64_t xor_out = collector->EndExecute();
-  if (!ok) return ExecOutcome::kFailed;
+  const StageOutcome outcome = graph_.Run(task, message, collector, collector);
+  if (outcome == StageOutcome::kFailed) return false;
   (*executed)++;
-  if (message.trace_id != 0) {
-    task->trace_ring->Record(TraceEvent{
-        message.trace_id, hop_span, message.trace_parent_span,
-        static_cast<uint32_t>(task->global_index), execute_start,
-        execute_start - message.trace_enqueue_nanos,
-        NowNanos() - execute_start});
-  }
-  if (message.emit_time_nanos > 0) {
-    task->metrics->RecordLatencyNanos(NowNanos() - message.emit_time_nanos);
-  }
-  // Crash draw sits between Execute and the ack — the MillWheel torn
-  // window. The completed Execute's state mutations (and any checkpoint
-  // Put) survive, but the ack is swallowed with the "process", so the
-  // root replays into restored state: exactly the duplicate-delivery
-  // case checkpoint-then-ack dedup (DedupLedger) must absorb.
-  const bool crash_now = faults != nullptr && faults->FireTaskCrash();
-  if (TracksTuples(config_.semantics) && message.root_id != 0 && !crash_now) {
-    collector->StageAck(AckerEvent{AckerEvent::kUpdate, message.root_id,
-                                   message.edge_id ^ xor_out, 0});
-  }
-  return crash_now ? ExecOutcome::kCrashed : ExecOutcome::kOk;
+  if (outcome == StageOutcome::kOk) return false;
+  RestartBolt(task);
+  return true;
 }
 
 /// Pending-count release with the drain-wait wakeup the plain paths inline.
@@ -919,195 +620,118 @@ void TopologyEngine::FinishPending(size_t n) {
   }
 }
 
+namespace {
+
+/// A fused chain's AckSink. Delivered fused hops allocate no edge ids — the
+/// inline call both "delivers" and "acks", a net ledger zero — so a hop's
+/// ack folds straight into the chain's XOR, and any failure (drop, throw,
+/// crash, lost ack) poisons it with a fresh id no execution will clear:
+/// under tracking the root then fails by ack timeout exactly like its
+/// queued counterpart.
+class ChainAcks : public AckSink {
+ public:
+  ChainAcks(StageGraph* graph, uint64_t* chain_xor)
+      : graph_(graph), chain_xor_(chain_xor) {}
+  void Ack(uint64_t, uint64_t value) override { *chain_xor_ ^= value; }
+  void Fail(uint64_t) override { *chain_xor_ ^= graph_->NextEdgeId(); }
+
+ private:
+  StageGraph* graph_;
+  uint64_t* chain_xor_;
+};
+
+}  // namespace
+
 /// Collector for a non-tail fused stage: every Emit becomes the next hop
 /// of the chain, executed inline (stack recursion instead of a queue).
-class TopologyEngine::FusedStageCollector : public OutputCollector {
+/// Failures downstream poison the chain directly, so End() stays 0.
+class TopologyEngine::FusedStageCollector : public StageCollector {
  public:
   FusedStageCollector(TopologyEngine* engine, Task* head, size_t next_stage,
-                      uint64_t root, uint64_t emit_time, uint64_t trace_id,
-                      uint64_t parent_span, uint64_t* chain_xor)
+                      uint64_t* chain_xor)
       : engine_(engine),
         head_(head),
         next_stage_(next_stage),
-        root_(root),
-        emit_time_(emit_time),
-        trace_id_(trace_id),
-        parent_span_(parent_span),
         chain_xor_(chain_xor) {}
 
   void Emit(Tuple tuple) override {
     head_->fused_stages[next_stage_ - 1]->metrics->IncEmitted();
-    engine_->DeliverFusedHop(head_, next_stage_, std::move(tuple), root_,
-                             emit_time_, trace_id_, parent_span_, chain_xor_);
+    Message message;
+    message.tuple = std::move(tuple);
+    message.root_id = root_;
+    message.emit_time_nanos = emit_time_;
+    message.trace_id = trace_id_;
+    message.trace_parent_span = span_;
+    engine_->DeliverFusedHop(head_, next_stage_, message, chain_xor_);
   }
 
  private:
   TopologyEngine* engine_;
   Task* head_;
   const size_t next_stage_;
-  const uint64_t root_;
-  const uint64_t emit_time_;
-  const uint64_t trace_id_;
-  const uint64_t parent_span_;
   uint64_t* chain_xor_;
 };
 
-uint64_t TopologyEngine::RunFusedChain(Task* head, Tuple tuple, uint64_t root,
-                                       uint64_t emit_time, uint64_t trace_id,
-                                       uint64_t parent_span) {
-  uint64_t chain_xor = 0;
-  DeliverFusedHop(head, 0, std::move(tuple), root, emit_time, trace_id,
-                  parent_span, &chain_xor);
-  return chain_xor;
-}
-
-/// One fused hop: the producer's transport faults are consulted in the
-/// exact per-site order of the queued Stage() path (delay → drop →
-/// duplicate), so the same seed draws the same transport schedule fused
-/// or queued. Delivered hops allocate NO ledger edge ids — the inline
-/// call both "delivers" and "acks", a net ledger zero either way — but
-/// every failure (drop, throw, crash) poisons the chain ledger with a
-/// fresh edge id no execution will ever clear, so under tracking the root
-/// fails by ack timeout exactly like its queued counterpart.
-void TopologyEngine::DeliverFusedHop(Task* head, size_t stage, Tuple tuple,
-                                     uint64_t root, uint64_t emit_time,
-                                     uint64_t trace_id, uint64_t parent_span,
-                                     uint64_t* chain_xor) {
+/// One fused hop: the producer's transport draws, then the stage runner on
+/// the consumer — the same code, and so the same per-site draws, as a
+/// queued delivery. A crash restarts the stage bolt in place (the head's
+/// thread IS this "process"; later tuples meet the fresh instance).
+void TopologyEngine::DeliverFusedHop(Task* head, size_t stage,
+                                     Message& message, uint64_t* chain_xor) {
   Task* producer = stage == 0 ? head : head->fused_stages[stage - 1];
-  FaultSite* faults = producer->transport_faults.get();
-  bool duplicate = false;
-  if (faults != nullptr) {
-    const uint32_t delay_us = faults->DeliveryDelayMicros();
-    if (delay_us > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
-    }
-    if (faults->FireDropTuple()) {
-      if (root != 0) {
-        *chain_xor ^= next_edge_id_.fetch_add(1, std::memory_order_relaxed);
-      }
-      return;
-    }
-    duplicate = faults->FireDuplicateTuple();
-  }
-  if (duplicate) {
-    // Redelivery: the stage genuinely executes twice (the duplication
-    // at-least-once permits), with the copy going first like the queued
-    // path's staged copy-then-original order.
-    ExecuteFusedStage(head, stage, tuple, root, emit_time, trace_id,
-                      parent_span, chain_xor);
-  }
-  ExecuteFusedStage(head, stage, tuple, root, emit_time, trace_id,
-                    parent_span, chain_xor);
-}
-
-/// Runs one stage's bolt on one tuple, inline. Mirrors ExecuteOne's
-/// sequence exactly — throw inside the try (a thrown tuple fails, no
-/// crash draw), then metrics/trace/latency, then the post-Execute crash
-/// draw — so the executor site's decision stream is identical to the
-/// queued path's. A crash restarts the stage bolt in place (the head's
-/// thread IS this "process"; subsequent tuples meet the fresh instance).
-void TopologyEngine::ExecuteFusedStage(Task* head, size_t stage,
-                                       const Tuple& tuple, uint64_t root,
-                                       uint64_t emit_time, uint64_t trace_id,
-                                       uint64_t parent_span,
-                                       uint64_t* chain_xor) {
   Task* task = head->fused_stages[stage];
-  const bool tail = stage + 1 == head->fused_stages.size();
-  FaultSite* faults = task->executor_faults.get();
-  uint64_t hop_span = 0;
-  uint64_t execute_start = 0;
-  if (trace_id != 0) {
-    hop_span = next_span_id_.fetch_add(1, std::memory_order_relaxed);
-    execute_start = NowNanos();
-  }
-  bool ok = true;
-  if (tail) {
-    // The tail may feed queued edges past the chain: its own TaskCollector
-    // stages those (and accumulates their edge ids in xor_out), which the
-    // chain merges into the root's ledger like any bolt's children.
-    TaskCollector* collector = task->collector.get();
-    collector->BeginExecute(root, emit_time, trace_id, hop_span);
-    try {
-      if (faults != nullptr && faults->FireBoltThrow()) {
-        throw InjectedBoltError("injected bolt failure");
-      }
-      task->bolt->Execute(tuple, collector);
-    } catch (...) {
-      ok = false;
-      task->metrics->IncBoltExceptions();
-    }
-    const uint64_t xor_out = collector->EndExecute();
-    if (ok) *chain_xor ^= xor_out;
-  } else {
-    FusedStageCollector next(this, head, stage + 1, root, emit_time, trace_id,
-                             hop_span, chain_xor);
-    try {
-      if (faults != nullptr && faults->FireBoltThrow()) {
-        throw InjectedBoltError("injected bolt failure");
-      }
-      task->bolt->Execute(tuple, &next);
-    } catch (...) {
-      ok = false;
-      task->metrics->IncBoltExceptions();
-    }
-  }
-  if (!ok) {
-    // Failed hop: poison the chain ledger (the queued throw reaches the
-    // same end state — an uncleared edge id timing the root out).
-    if (root != 0) {
-      *chain_xor ^= next_edge_id_.fetch_add(1, std::memory_order_relaxed);
-    }
+  ChainAcks acks(&graph_, chain_xor);
+  const int copies = graph_.DrawTransport(producer);
+  if (copies == 0) {
+    if (message.root_id != 0) acks.Fail(message.root_id);
     return;
   }
-  task->metrics->IncExecuted();
-  if (trace_id != 0) {
-    task->trace_ring->Record(TraceEvent{
-        trace_id, hop_span, parent_span,
-        static_cast<uint32_t>(task->global_index), execute_start,
-        /*wait_nanos=*/0, NowNanos() - execute_start});
-  }
-  if (emit_time > 0) {
-    task->metrics->RecordLatencyNanos(NowNanos() - emit_time);
-  }
-  if (faults != nullptr && faults->FireTaskCrash()) {
-    // The completed Execute's effects stand but the hop's ack is
-    // swallowed with the "process" (the MillWheel torn window): poison
-    // the ledger so the root replays, and rebuild the stage bolt.
-    if (root != 0) {
-      *chain_xor ^= next_edge_id_.fetch_add(1, std::memory_order_relaxed);
-    }
-    RestartBolt(task);
+  message.producer_task = static_cast<uint32_t>(producer->global_index);
+  if (message.trace_id != 0) message.trace_enqueue_nanos = NowNanos();
+  // The tail may feed queued edges past the chain: its own TaskCollector
+  // stages those, and their edge ids reach the chain through its ack.
+  FusedStageCollector next(this, head, stage + 1, chain_xor);
+  StageCollector* out = stage + 1 < head->fused_stages.size()
+                            ? static_cast<StageCollector*>(&next)
+                            : task->collector.get();
+  // A duplicate executes the stage twice — the duplication at-least-once
+  // permits.
+  for (int copy = 0; copy < copies; copy++) {
+    const StageOutcome outcome = graph_.Run(task, message, out, &acks);
+    if (outcome != StageOutcome::kFailed) task->metrics->IncExecuted();
+    if (outcome == StageOutcome::kCrashed) RestartBolt(task);
   }
 }
 
 /// The fused batch path: one dispatch, one ack-staging pass for the whole
-/// batch — but one fault draw PER MESSAGE, exactly like the scalar path.
-/// Batch boundaries depend on thread timing (how much the consumer drains
-/// per pop), so per-batch draws would make the executor site's decision
-/// stream timing-dependent and break the same-seed ⇒ same-schedule replay
-/// contract; per-message consultation keeps the stream a pure function of
-/// the message sequence (the same reasoning as the queue-stall
-/// interceptor in BuildTasks). Blast radius stays batch-granular: any
-/// throw fails the whole batch, any crash kills it before execution.
-/// Only reached for batch-capable bolts (pure accumulators that never
-/// emit from execution) on fully untraced batches.
+/// batch — but the runner's draw steps PER MESSAGE, in the runner's order
+/// (stall, throw, then crash and acker loss for a message that did not
+/// throw). Batch boundaries depend on thread timing (how much the consumer
+/// drains per pop), so per-batch draws would make the sites' decision
+/// streams timing-dependent and break the same-seed ⇒ same-schedule replay
+/// contract; per-message consultation keeps each stream a pure function of
+/// the message sequence, identical to per-tuple delivery. Only the blast
+/// radius is batch-wide: any throw fails the whole batch, any crash kills
+/// it before execution. Only reached for batch-capable bolts (pure
+/// accumulators that never emit from execution) on fully untraced batches.
 void TopologyEngine::ExecuteBatchFused(Task* task, std::span<Message> batch) {
   TaskCollector* collector = task->collector.get();
-  const bool track = TracksTuples(config_.semantics);
-  FaultSite* faults = task->executor_faults.get();
-  // Per-message draws in the scalar path's per-site order (throw, then
-  // crash). A thrown message draws no crash (ExecuteOne returns kFailed
-  // before its crash draw); the first crash ends the stream for the batch
-  // (the scalar loop breaks on kCrashed, leaving the remainder undrawn).
+  // ack_lost[i]: message i's ack drew the acker-loss fault. The first crash
+  // ends the draws for the batch (the scalar loop stops executing on a
+  // crash, leaving the remainder undrawn).
+  thread_local std::vector<uint8_t> ack_lost;
+  ack_lost.assign(batch.size(), 0);
   bool throw_now = false;
   bool crash_now = false;
-  if (faults != nullptr) {
+  if (graph_.fault_plan() != nullptr) {
     for (size_t i = 0; i < batch.size() && !crash_now; i++) {
-      if (faults->FireBoltThrow()) {
+      if (graph_.StallThenDrawThrow(task)) {
         throw_now = true;
         continue;
       }
-      if (faults->FireTaskCrash()) crash_now = true;
+      crash_now = graph_.DrawCrash(task);
+      ack_lost[i] = !crash_now && batch[i].root_id != 0 &&
+                    graph_.DrawAckerLoss(task);
     }
   }
   // A crash kills the batch unexecuted and unacked (at-least-once replays
@@ -1120,8 +744,7 @@ void TopologyEngine::ExecuteBatchFused(Task* task, std::span<Message> batch) {
     inputs.reserve(batch.size());
     for (const Message& message : batch) inputs.push_back(&message.tuple);
     const uint64_t emitted_before = collector->total_emitted();
-    collector->BeginExecute(0, 0, 0, 0);
-    bool ok = true;
+    collector->Begin(Message(), 0);
     try {
       if (throw_now) {
         throw InjectedBoltError("injected bolt failure");
@@ -1129,33 +752,27 @@ void TopologyEngine::ExecuteBatchFused(Task* task, std::span<Message> batch) {
       task->bolt->ExecuteBatch(
           std::span<const Tuple* const>(inputs.data(), inputs.size()),
           collector);
+      executed_ok = true;
     } catch (...) {
       // The whole batch fails as one unit: no acks are staged, so under
       // at-least-once every root in it times out and replays.
-      ok = false;
       task->metrics->IncBoltExceptions();
     }
-    collector->EndExecute();
+    collector->End();
     STREAMLIB_CHECK_MSG(collector->total_emitted() == emitted_before,
                         "batch-capable bolt emitted during ExecuteBatch");
-    if (ok) {
-      executed_ok = true;
-      const uint64_t now = NowNanos();
-      for (const Message& message : batch) {
-        if (message.emit_time_nanos > 0) {
-          task->metrics->RecordLatencyNanos(now - message.emit_time_nanos);
-        }
+  }
+  if (executed_ok) {
+    const uint64_t now = NowNanos();
+    for (size_t i = 0; i < batch.size(); i++) {
+      const Message& message = batch[i];
+      if (message.emit_time_nanos > 0) {
+        task->metrics->RecordLatencyNanos(now - message.emit_time_nanos);
       }
-      if (track) {
-        // Nothing was emitted, so each input's ledger entry closes with
-        // its own edge id (xor_out == 0).
-        for (const Message& message : batch) {
-          if (message.root_id != 0) {
-            collector->StageAck(AckerEvent{AckerEvent::kUpdate,
-                                           message.root_id, message.edge_id,
-                                           0});
-          }
-        }
+      // Nothing was emitted, so each input's ledger entry closes with its
+      // own edge id.
+      if (message.root_id != 0 && ack_lost[i] == 0) {
+        collector->Ack(message.root_id, message.edge_id);
       }
     }
   }
@@ -1163,55 +780,6 @@ void TopologyEngine::ExecuteBatchFused(Task* task, std::span<Message> batch) {
   if (executed_ok) task->metrics->IncExecuted(batch.size());
   if (crash_now) RestartBolt(task);
   FinishPending(batch.size());
-}
-
-/// The barrier-aware execute path (replaces scalar and fused delivery when
-/// epochs are on). Barriers feed the aligner; data from a producer that
-/// already barriered past this task's aligned epoch is parked in
-/// `task->held` until alignment catches up, so a bolt's state at snapshot
-/// time contains exactly the effects of epochs <= the snapshot epoch.
-void TopologyEngine::ExecuteBatchAligned(Task* task,
-                                         std::span<Message> batch) {
-  TaskCollector* collector = task->collector.get();
-  size_t consumed = 0;  // Messages leaving the pending count this call.
-  size_t executed = 0;
-  bool crashed = false;
-  for (Message& message : batch) {
-    if (crashed) {
-      // Input of a dead "process": never executed, never acked;
-      // at-least-once replays it via the ack timeout.
-      consumed++;
-      continue;
-    }
-    if (message.tuple.IsBarrier()) {
-      consumed++;
-      HandleBarrier(task, message.producer_task,
-                    message.tuple.barrier_epoch(), &executed, &crashed);
-      continue;
-    }
-    if (task->aligner->ShouldHold(message.producer_task)) {
-      // This producer already barriered ahead: the message belongs to a
-      // later epoch than this task has aligned on. It stays pending (the
-      // drain protocol keeps the topology open) until released.
-      task->held_tags.push_back(task->aligner->HoldTag(message.producer_task));
-      task->held.push_back(std::move(message));
-      continue;
-    }
-    consumed++;
-    if (ExecuteOne(task, message, &executed) == ExecOutcome::kCrashed) {
-      RestartBolt(task);
-      crashed = true;
-    }
-  }
-  if (crashed && !task->held.empty()) {
-    // Held input dies with the crashed task too.
-    consumed += task->held.size();
-    task->held.clear();
-    task->held_tags.clear();
-  }
-  collector->FlushAll();
-  task->metrics->IncExecuted(executed);
-  FinishPending(consumed);
 }
 
 /// One barrier marker reached this task. When the aligner reports full
@@ -1247,11 +815,7 @@ void TopologyEngine::ReleaseHeld(Task* task, uint64_t max_tag,
       continue;
     }
     finished++;
-    if (*crashed) continue;
-    if (ExecuteOne(task, task->held[i], executed) == ExecOutcome::kCrashed) {
-      RestartBolt(task);
-      *crashed = true;
-    }
+    if (!*crashed) *crashed = ExecuteQueued(task, task->held[i], executed);
   }
   if (*crashed && kept > 0) {
     finished += kept;
@@ -1359,9 +923,7 @@ uint64_t TopologyEngine::epochs_completed() const {
 /// checkpointed by the bolt itself — that contract is exactly what the
 /// chaos suite verifies.
 void TopologyEngine::RestartBolt(Task* task) {
-  const ComponentSpec& spec = topology_.components()[task->component_index];
-  task->bolt = spec.bolt_factory();
-  task->bolt->Prepare(task->task_index, spec.parallelism);
+  graph_.RestartBolt(task);
   if (coordinator_ == nullptr) return;
   // Epoch fence: the restarted instance rebuilds from its frame at
   // last_snapshot_epoch, which is missing every already-acked effect
@@ -1371,8 +933,9 @@ void TopologyEngine::RestartBolt(Task* task) {
   // point stays at the last epoch whose frames are known whole.
   coordinator_->FenceEpochsAfter(task->last_snapshot_epoch);
   if (task->last_snapshot_epoch == 0) return;
-  const std::string key =
-      EpochTaskKey(task->last_snapshot_epoch, spec.name, task->task_index);
+  const std::string key = EpochTaskKey(
+      task->last_snapshot_epoch,
+      topology_.components()[task->component_index].name, task->task_index);
   Result<std::vector<uint8_t>> frame = config_.checkpoint_store->Fetch(key);
   if (!frame.ok()) return;  // Stateless at snapshot time: fresh start.
   const Status restored =
@@ -1383,37 +946,19 @@ void TopologyEngine::RestartBolt(Task* task) {
 }
 
 void TopologyEngine::DedicatedBoltLoop(Task* task) {
-  task->bolt->Prepare(
-      task->task_index,
-      topology_.components()[task->component_index].parallelism);
-  RestoreTaskState(task);
-  // Bolt-headed fused chains (the spout edge stayed queued but downstream
-  // bolt→bolt edges fused): prepare the followers on this thread too.
-  for (Task* follower : task->fused_stages) {
-    follower->bolt->Prepare(
-        follower->task_index,
-        topology_.components()[follower->component_index].parallelism);
-    RestoreTaskState(follower);
-  }
+  PrepareOnThread(task);
   const size_t max_batch = std::max<size_t>(1, config_.execute_batch_size);
   std::vector<Message> batch;
   batch.reserve(max_batch);
-  if (task->aligner == nullptr) {
-    while (true) {
-      batch.clear();
-      const size_t n = task->InPopBatch(batch, max_batch);
-      if (n == 0) break;  // Closed and drained.
-      ExecuteBatch(task, std::span<Message>(batch.data(), n));
-    }
-    return;
-  }
-  // Epoch variant: the blocking pop becomes a timed pop so a task whose
-  // alignment is starving (dropped barrier, stalled producer) still gets
-  // to run the timeout check while its queue is quiet.
   while (true) {
     batch.clear();
-    const size_t n =
-        task->InPopBatchTimed(batch, max_batch, std::chrono::milliseconds(1));
+    // With epochs the blocking pop becomes a timed pop, so a task whose
+    // alignment is starving (dropped barrier, stalled producer) still gets
+    // to run the timeout check while its queue is quiet.
+    const size_t n = task->aligner == nullptr
+                         ? task->InPopBatch(batch, max_batch)
+                         : task->InPopBatchTimed(batch, max_batch,
+                                                 std::chrono::milliseconds(1));
     if (n == 0) {
       if (task->InClosed() && task->InSize() == 0) {
         FlushHeld(task);
@@ -1551,60 +1096,6 @@ void TopologyEngine::AckerLoop() {
   if (resolved_any) progress_cv_.notify_all();
 }
 
-/// Synchronous collector used by the post-drain Finish() pass: emissions
-/// route like live traffic but invoke downstream Execute directly (all
-/// worker threads have stopped, so this is safe and single-threaded).
-class TopologyEngine::FinishCollector : public OutputCollector {
- public:
-  FinishCollector(TopologyEngine* engine, Task* task, uint64_t seed)
-      : engine_(engine), task_(task), rng_(seed) {}
-
-  void Emit(Tuple tuple) override {
-    task_->metrics->IncEmitted();
-    for (const Edge& edge : engine_->outgoing_[task_->component_index]) {
-      switch (edge.grouping.kind) {
-        case GroupingKind::kBroadcast:
-          for (Task* target : edge.targets) Deliver(target, tuple);
-          break;
-        case GroupingKind::kShuffle:
-          Deliver(edge.targets[rng_.NextBounded(edge.targets.size())], tuple);
-          break;
-        case GroupingKind::kFields: {
-          const uint64_t h = HashOfValue(tuple.field(edge.grouping.field_index),
-                                         kFieldsGroupingHashSeed);
-          Deliver(edge.targets[h % edge.targets.size()], tuple);
-          break;
-        }
-        case GroupingKind::kGlobal:
-          Deliver(edge.targets[0], tuple);
-          break;
-      }
-    }
-  }
-
- private:
-  void Deliver(Task* target, const Tuple& tuple) {
-    FinishCollector downstream(engine_, target, rng_.Next());
-    target->bolt->Execute(tuple, &downstream);
-    target->metrics->IncExecuted();
-  }
-
-  TopologyEngine* engine_;
-  Task* task_;
-  Rng rng_;
-};
-
-void TopologyEngine::RunFinishPass() {
-  // Components are already topologically ordered; flush each bolt task so
-  // aggregates emitted here flow to (not-yet-finished) downstream bolts.
-  for (const auto& task : tasks_) {
-    if (task->bolt == nullptr) continue;
-    FinishCollector collector(this, task.get(),
-                              config_.seed ^ task->global_index);
-    task->bolt->Finish(&collector);
-  }
-}
-
 void TopologyEngine::Run() {
   STREAMLIB_CHECK_MSG(!ran_, "TopologyEngine is single-use");
   ran_ = true;
@@ -1652,12 +1143,7 @@ void TopologyEngine::Run() {
     for (size_t i = 0; i < bolt_tasks.size(); i++) {
       assignment[i % workers].push_back(bolt_tasks[i]);
     }
-    for (Task* task : bolt_tasks) {
-      task->bolt->Prepare(
-          task->task_index,
-          topology_.components()[task->component_index].parallelism);
-      RestoreTaskState(task);
-    }
+    for (Task* task : bolt_tasks) PrepareOnThread(task);
     for (uint32_t w = 0; w < workers; w++) {
       if (assignment[w].empty()) continue;
       auto tasks = assignment[w];
@@ -1701,7 +1187,7 @@ void TopologyEngine::Run() {
     acker_thread_.join();
   }
 
-  RunFinishPass();
+  graph_.RunFinishPass();
 
   // Telemetry epilogue: final tail sample (so delta sums equal the final
   // counters, finish-pass emissions included), then merge the per-task
@@ -1717,8 +1203,8 @@ void TopologyEngine::Run() {
     summary.completed_roots =
         completed_roots_.load(std::memory_order_relaxed);
     summary.failed_roots = failed_roots_.load(std::memory_order_relaxed);
-    if (fault_plan_ != nullptr) {
-      summary.faults_by_kind = fault_plan_->Snapshot();
+    if (graph_.fault_plan() != nullptr) {
+      summary.faults_by_kind = graph_.fault_plan()->Snapshot();
     }
     summary.tasks.reserve(metrics_.task_count());
     for (size_t i = 0; i < metrics_.task_count(); i++) {

@@ -16,6 +16,7 @@
 #include "platform/metrics_sampler.h"
 #include "platform/plan.h"
 #include "platform/queue.h"
+#include "platform/stage.h"
 #include "platform/telemetry.h"
 #include "platform/topology.h"
 #include "platform/trace.h"
@@ -178,7 +179,7 @@ class TopologyEngine {
   /// The dataflow IR the engine compiled this topology into, with fusion
   /// decisions and per-edge vetoes. Built during Run()'s BuildTasks (null
   /// before Run()); always present afterwards, even with fusion disabled.
-  const TopologyPlan* plan() const { return plan_.get(); }
+  const TopologyPlan* plan() const { return graph_.plan(); }
 
   /// Edges realized as in-thread fused hops instead of queues (after
   /// Run()). 0 whenever enable_fusion is false or nothing was eligible.
@@ -186,7 +187,7 @@ class TopologyEngine {
 
   /// Injected-fault counters for this run; null when config.faults is
   /// disabled. Valid from Run() start (tests read it after Run returns).
-  const FaultPlan* fault_plan() const { return fault_plan_.get(); }
+  const FaultPlan* fault_plan() const { return graph_.fault_plan(); }
 
   /// Epoch checkpointing results (barriers enabled; after Run()).
   /// Highest epoch every task acked — the epoch a resumed run restores.
@@ -200,47 +201,40 @@ class TopologyEngine {
 
  private:
   struct Task;
-  struct Edge;
   class TaskCollector;
-  class FinishCollector;
   class FusedStageCollector;
   struct AckerEvent;
 
   void BuildTasks();
   void StartSampler();
   void DrainTraces();
+  void PrepareOnThread(Task* task);
   void SpoutLoop(Task* task);
   void DedicatedBoltLoop(Task* task);
   void MultiplexedWorkerLoop(const std::vector<Task*>& tasks);
   void AckerLoop();
-  void ExecuteBatch(Task* task, std::span<struct Message> batch);
-  void ExecuteBatchFused(Task* task, std::span<struct Message> batch);
   void RestartBolt(Task* task);
-  void RunFinishPass();
 
   /// Injected time source (config.clock or the steady default).
   uint64_t NowNanos() const;
 
-  // Fused-chain execution (DESIGN.md §13). RunFusedChain drives one spout
-  // emission through every stage of `head`'s fused chain inline on the
-  // calling thread; the return value is the XOR of the poison edge ids of
-  // any hops that failed (0 = the whole chain succeeded — kInit with
-  // ledger 0 resolves immediately, matching the queued eventual outcome).
-  uint64_t RunFusedChain(Task* head, Tuple tuple, uint64_t root,
-                         uint64_t emit_time, uint64_t trace_id,
-                         uint64_t parent_span);
-  void DeliverFusedHop(Task* head, size_t stage, Tuple tuple, uint64_t root,
-                       uint64_t emit_time, uint64_t trace_id,
-                       uint64_t parent_span, uint64_t* chain_xor);
-  void ExecuteFusedStage(Task* head, size_t stage, const Tuple& tuple,
-                         uint64_t root, uint64_t emit_time, uint64_t trace_id,
-                         uint64_t parent_span, uint64_t* chain_xor);
+  // Queued execution: one batch loop (barriers and alignment holds
+  // included) feeding every message through the stage runner, plus the
+  // batch-capable bolts' single-dispatch path.
+  void ExecuteBatch(Task* task, std::span<Message> batch);
+  bool ExecuteQueued(Task* task, const Message& message, size_t* executed);
+  void ExecuteBatchFused(Task* task, std::span<Message> batch);
+  void FinishPending(size_t n);
+
+  // Fused-chain execution (DESIGN.md §13): delivers `message` to stage
+  // `stage` of `head`'s chain inline on the calling thread, recursing down
+  // the chain; failed hops XOR poison ids into `chain_xor` (0 = the whole
+  // chain succeeded — kInit with ledger 0 resolves immediately, matching
+  // the queued eventual outcome).
+  void DeliverFusedHop(Task* head, size_t stage, Message& message,
+                       uint64_t* chain_xor);
 
   // Epoch-barrier plumbing (all no-ops unless epoch_interval_tuples > 0).
-  enum class ExecOutcome { kOk, kFailed, kCrashed };
-  ExecOutcome ExecuteOne(Task* task, struct Message& message,
-                         size_t* executed);
-  void ExecuteBatchAligned(Task* task, std::span<struct Message> batch);
   void HandleBarrier(Task* task, uint32_t producer, uint64_t epoch,
                      size_t* executed, bool* crashed);
   void ReleaseHeld(Task* task, uint64_t max_tag, size_t* executed,
@@ -249,28 +243,25 @@ class TopologyEngine {
   void MaybeEpochTimeout(Task* task);
   void CutEpoch(Task* task, uint64_t epoch);
   void RestoreTaskState(Task* task);
-  void FinishPending(size_t n);
 
   Topology topology_;
   EngineConfig config_;
   MetricsRegistry metrics_;
   Telemetry telemetry_;
   std::unique_ptr<MetricsSampler> sampler_;
-  std::unique_ptr<FaultPlan> fault_plan_;
   std::unique_ptr<CheckpointCoordinator> coordinator_;
   std::atomic<uint64_t> epoch_timeouts_{0};
 
-  std::vector<std::unique_ptr<Task>> tasks_;
-  std::vector<std::vector<Edge>> outgoing_;  // Per component index.
-  size_t spsc_edges_ = 0;
-  std::unique_ptr<TopologyPlan> plan_;
-  size_t fused_edges_ = 0;
   Clock* clock_;  // Never null after construction; not owned.
+  // Tasks' shared halves, edges, the fusion plan, fault sites, edge ids,
+  // the stage runner and the finish pass (shared with ReplayEngine).
+  StageGraph graph_;
+  std::vector<std::unique_ptr<Task>> tasks_;
+  size_t spsc_edges_ = 0;
+  size_t fused_edges_ = 0;
 
   std::atomic<uint64_t> pending_messages_{0};
   std::atomic<uint64_t> next_root_id_{1};
-  std::atomic<uint64_t> next_edge_id_{1};
-  std::atomic<uint64_t> next_span_id_{1};
   std::atomic<uint64_t> inflight_roots_{0};
   std::atomic<uint64_t> completed_roots_{0};
   std::atomic<uint64_t> failed_roots_{0};

@@ -27,7 +27,7 @@ enum class FaultKind : uint8_t {
   kDelayDelivery,    ///< staged delivery held back a bounded interval
   kBoltThrow,        ///< bolt Execute throws mid-tuple
   kTaskCrash,        ///< bolt instance dies and restarts from its factory
-  kQueueStall,       ///< consumer stalls after draining its input queue
+  kQueueStall,       ///< consumer stalls before executing a delivery
   kAckerEventLoss,   ///< executor→acker kUpdate event lost
   kBarrierDrop,      ///< epoch-barrier marker lost toward one target task
   kBarrierDelay,     ///< epoch-barrier marker held back a bounded interval
@@ -43,7 +43,7 @@ const char* FaultKindName(FaultKind kind);
 /// to 0 (injection fully disabled — the engine then skips every hook).
 ///
 /// Determinism model: each injection site (one task's transport path, one
-/// task's executor, one queue's consumer) owns a PRNG seeded from
+/// task's executor, one bolt task's input stalls) owns a PRNG seeded from
 /// (seed, site id) and consults it in the site's own program order. A
 /// site's decision stream — which consultation indices fire, and every
 /// drawn delay/stall magnitude — is therefore a pure function of the seed,
@@ -59,9 +59,9 @@ struct FaultSpec {
   double bolt_throw_prob = 0.0;       ///< per Execute call
   double task_crash_prob = 0.0;       ///< per executed tuple (post-Execute)
   uint32_t max_task_crashes = 1;      ///< engine-wide crash/restart budget
-  double queue_stall_prob = 0.0;      ///< per message drained from a queue
+  double queue_stall_prob = 0.0;      ///< per tuple delivered to a bolt
   uint32_t queue_stall_micros = 100;  ///< stall drawn uniform in [1, max]
-  double acker_loss_prob = 0.0;       ///< per staged kUpdate acker event
+  double acker_loss_prob = 0.0;       ///< per successful tracked hop
   // Barrier-marker faults (epoch checkpointing only): consulted per
   // (barrier, target task) in EmitBarrier. A dropped barrier starves the
   // target's alignment for that epoch; the alignment timeout then
@@ -155,20 +155,23 @@ class FaultPlan {
 /// is a function of the spec alone.
 class FaultSite {
  public:
-  /// Transport path (TaskCollector::Stage), consulted per staged delivery.
+  /// Transport path (StageGraph::DrawTransport), consulted per routed
+  /// delivery, fused hops included.
   bool FireDropTuple();
   bool FireDuplicateTuple();
   /// 0 = no delay; otherwise the number of microseconds to hold delivery.
   uint32_t DeliveryDelayMicros();
 
-  /// Executor path (ExecuteBatch), consulted per input tuple.
+  /// Executor path (the stage runner, StageGraph::Run), consulted per
+  /// delivered tuple — queued, fused or replayed.
   bool FireBoltThrow();
   /// Consulted after a successful Execute: true = the "process" dies here,
   /// between its state mutation and its ack (the MillWheel torn window).
   /// Respects the engine-wide crash budget.
   bool FireTaskCrash();
 
-  /// Ack path, consulted per staged kUpdate event.
+  /// Ack path, consulted per successful tracked hop (nothing threw or
+  /// crashed).
   bool FireAckerLoss();
 
   /// Barrier path (TaskCollector::EmitBarrier), consulted once per
@@ -177,7 +180,7 @@ class FaultSite {
   /// 0 = no delay; otherwise microseconds to hold the barrier back.
   uint32_t BarrierDelayMicros();
 
-  /// Queue consumer path, consulted per drained message.
+  /// Consumer path, consulted per delivered tuple before the throw draw.
   /// 0 = no stall; otherwise microseconds the consumer sleeps.
   uint32_t QueueStallMicros();
 

@@ -17,14 +17,15 @@ enum class EdgeChannel : uint8_t {
 };
 
 /// The engine facts the fusion pass needs, decoupled from EngineConfig so
-/// the plan layer has no dependency on engine.h. The engine fills this
-/// from its config in BuildTasks; tests construct it directly.
+/// the plan layer has no dependency on engine.h. StageGraph::Build fills
+/// this from the config (live and replayed runs alike); tests construct it
+/// directly. Recording is not among them: a fused hop draws exactly what a
+/// replayed delivery draws, so a recorded run fuses like any other.
 struct FusionOptions {
   bool enable_fusion = false;     ///< master switch (EngineConfig::enable_fusion)
   bool dedicated_mode = true;     ///< ExecutionMode::kDedicated (one thread/task)
   bool tracked = false;           ///< delivery semantics track tuples (acking on)
   bool epochs_enabled = false;    ///< barrier checkpointing active
-  bool recorder_attached = false; ///< flight recorder taps spout emissions
 };
 
 /// One component of the topology, as a plan node. `component_index` equals

@@ -6,7 +6,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <functional>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -226,17 +225,6 @@ class BlockingQueue {
     return closed_;
   }
 
-  /// Fault-injection hook: invoked with the drained count after every
-  /// successful batch pop, outside the queue lock, on the consumer thread.
-  /// Must be installed before any consumer runs (the engine does this in
-  /// BuildTasks); when unset the only cost is one branch per drain. The
-  /// chaos harness uses it to stall consumers (queue.h stays free of any
-  /// fault-injection dependency — the policy lives in the installed
-  /// closure).
-  void SetPopInterceptor(std::function<void(size_t)> interceptor) {
-    pop_interceptor_ = std::move(interceptor);
-  }
-
  private:
   /// Moves up to `max` items into `out`; unlocks and signals producers.
   size_t DrainLocked(std::unique_lock<std::mutex>& lock, std::vector<T>& out,
@@ -249,10 +237,7 @@ class BlockingQueue {
     }
     SyncApproxLocked();
     lock.unlock();
-    if (n > 0) {
-      not_full_.notify_all();
-      if (pop_interceptor_) pop_interceptor_(n);
-    }
+    if (n > 0) not_full_.notify_all();
     return n;
   }
 
@@ -262,7 +247,6 @@ class BlockingQueue {
   }
 
   size_t capacity_;
-  std::function<void(size_t)> pop_interceptor_;
   std::atomic<size_t> approx_size_{0};
   mutable std::mutex mu_;
   std::condition_variable not_empty_;

@@ -4,199 +4,67 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/random.h"
-#include "platform/fault.h"
+#include "platform/clock.h"
 
 namespace streamlib::platform {
 
-/// One parallel instance of a component inside the replayer. Mirrors the
-/// live engine's Task minus the threading surface: no queues (the
-/// replayer's global FIFO preserves per-producer delivery order, which is
-/// all the determinism contract needs), no spout instance (emissions come
-/// from the recording).
-struct ReplayEngine::RTask {
-  size_t global_index = 0;
-  size_t component_index = 0;
-  uint32_t task_index = 0;
-  bool is_spout = false;
-  std::unique_ptr<Bolt> bolt;  // Null for spout tasks.
-  std::unique_ptr<ReplayCollector> collector;
-  TaskMetrics* metrics = nullptr;
-  // Same site ids as the live engine (global_index * 4 + role), so each
-  // site's PRNG stream is byte-identical to the recorded run's.
-  std::unique_ptr<FaultSite> transport_faults;
-  std::unique_ptr<FaultSite> executor_faults;
-  std::unique_ptr<FaultSite> stall_faults;
-  uint64_t inputs_seen = 0;  // Tuples delivered (kTaskTuple breakpoints).
-};
-
-struct ReplayEngine::Edge {
-  Grouping grouping;
-  std::vector<RTask*> targets;
-};
-
 /// One tuple in flight to a bolt task.
 struct ReplayEngine::Delivery {
-  RTask* target = nullptr;
-  Tuple tuple;
-  uint64_t root_id = 0;
-  uint64_t edge_id = 0;
+  StageTask* target = nullptr;
+  Message message;
 };
 
-/// Mirror of the live engine's TaskCollector: identical per-task RNG
-/// seeding, identical routing switch, identical transport fault-draw
-/// order (delay, drop, then duplicate — and no duplicate draw after a
-/// drop). Instead of staging into per-target buffers it appends to the
-/// replayer's FIFO; instead of sending acker events it folds XOR values
-/// into the synchronous root ledger.
-class ReplayEngine::ReplayCollector : public OutputCollector {
+/// The replayer's collector for one task. Routing, transport draws and edge
+/// ids come from StageGraph::Send like the live engine's; what differs is
+/// where things land: arriving copies join the replayer's FIFO (its Wire),
+/// roots open and acks fold into the synchronous ledger (its AckSink).
+class ReplayEngine::ReplayCollector : public StageCollector,
+                                      public Wire,
+                                      public AckSink {
  public:
-  ReplayCollector(ReplayEngine* engine, RTask* task, uint64_t seed)
-      : engine_(engine), task_(task), rng_(seed) {}
-
-  void BeginExecute(uint64_t root_id) {
-    current_root_ = root_id;
-    xor_out_ = 0;
-  }
-  uint64_t EndExecute() { return xor_out_; }
+  ReplayCollector(ReplayEngine* engine, StageTask* task)
+      : engine_(engine), task_(task) {}
 
   uint64_t LastRootId() const override { return last_spout_root_; }
 
   void Emit(Tuple tuple) override {
-    const bool from_spout = task_->is_spout;
-    const bool track =
-        engine_->run_.config.semantics == DeliverySemantics::kAtLeastOnce;
-    uint64_t root = current_root_;
-    if (from_spout && track) {
-      root = engine_->next_root_id_++;
-      last_spout_root_ = root;
-      xor_out_ = 0;
+    const bool from_spout = task_->bolt == nullptr;
+    Message context;
+    context.root_id = root_;
+    if (from_spout && TracksTuples(engine_->run_.config.semantics)) {
+      context.root_id = engine_->next_root_id_++;
+      last_spout_root_ = context.root_id;
     }
-
-    targets_scratch_.clear();
-    for (const Edge& edge : engine_->outgoing_[task_->component_index]) {
-      switch (edge.grouping.kind) {
-        case GroupingKind::kBroadcast:
-          for (RTask* target : edge.targets) {
-            targets_scratch_.push_back(target);
-          }
-          break;
-        case GroupingKind::kShuffle:
-          targets_scratch_.push_back(
-              edge.targets[rng_.NextBounded(edge.targets.size())]);
-          break;
-        case GroupingKind::kFields: {
-          const uint64_t h =
-              HashOfValue(tuple.field(edge.grouping.field_index), 77);
-          targets_scratch_.push_back(edge.targets[h % edge.targets.size()]);
-          break;
-        }
-        case GroupingKind::kGlobal:
-          targets_scratch_.push_back(edge.targets[0]);
-          break;
-      }
-    }
-
-    uint64_t edge_xor = 0;
-    for (size_t i = 0; i < targets_scratch_.size(); i++) {
-      const bool last = i + 1 == targets_scratch_.size();
-      edge_xor ^= Stage(targets_scratch_[i],
-                        last ? std::move(tuple) : Tuple(tuple), root);
-    }
+    const uint64_t edge_xor =
+        engine_->graph_.Send(task_, std::move(tuple), context, this);
     task_->metrics->IncEmitted();
-
-    if (track) {
-      if (from_spout) {
-        engine_->InitRoot(root, edge_xor, task_->global_index);
-      } else if (root != 0) {
-        xor_out_ ^= edge_xor;
-      }
+    if (from_spout && context.root_id != 0) {
+      engine_->InitRoot(context.root_id, edge_xor, task_->global_index);
+    } else if (context.root_id != 0) {
+      xor_out_ ^= edge_xor;
     }
+  }
+
+  void Deliver(StageTask* target, Message&& message) override {
+    engine_->work_.push_back(Delivery{target, std::move(message)});
+  }
+
+  void Ack(uint64_t root, uint64_t value) override {
+    engine_->ApplyAck(root, value);
   }
 
  private:
-  uint64_t Stage(RTask* target, Tuple&& tuple, uint64_t root) {
-    FaultSite* faults = task_->transport_faults.get();
-    if (faults != nullptr) {
-      // Consult the delay draw for stream parity but never sleep: replay
-      // reproduces decisions, not wall-clock.
-      faults->DeliveryDelayMicros();
-      if (faults->FireDropTuple()) {
-        return root != 0 ? engine_->next_edge_id_++ : 0;
-      }
-    }
-    const uint64_t edge_id = root != 0 ? engine_->next_edge_id_++ : 0;
-    uint64_t edge_xor = edge_id;
-    Delivery delivery{target, std::move(tuple), root, edge_id};
-    if (faults != nullptr && faults->FireDuplicateTuple()) {
-      const uint64_t dup_edge = root != 0 ? engine_->next_edge_id_++ : 0;
-      Delivery dup{target, delivery.tuple, root, dup_edge};
-      engine_->work_.push_back(std::move(delivery));
-      engine_->work_.push_back(std::move(dup));
-      edge_xor ^= dup_edge;
-    } else {
-      engine_->work_.push_back(std::move(delivery));
-    }
-    return edge_xor;
-  }
-
   ReplayEngine* engine_;
-  RTask* task_;
-  Rng rng_;
-  std::vector<RTask*> targets_scratch_;
-  uint64_t current_root_ = 0;
-  uint64_t xor_out_ = 0;
+  StageTask* task_;
   uint64_t last_spout_root_ = 0;
-};
-
-/// Mirror of the live engine's FinishCollector, including the recursive
-/// reseeding (downstream collectors seeded from rng_.Next()) so finish-
-/// pass shuffle routing matches the original run draw for draw.
-class ReplayEngine::ReplayFinishCollector : public OutputCollector {
- public:
-  ReplayFinishCollector(ReplayEngine* engine, RTask* task, uint64_t seed)
-      : engine_(engine), task_(task), rng_(seed) {}
-
-  void Emit(Tuple tuple) override {
-    task_->metrics->IncEmitted();
-    for (const Edge& edge : engine_->outgoing_[task_->component_index]) {
-      switch (edge.grouping.kind) {
-        case GroupingKind::kBroadcast:
-          for (RTask* target : edge.targets) Deliver(target, tuple);
-          break;
-        case GroupingKind::kShuffle:
-          Deliver(edge.targets[rng_.NextBounded(edge.targets.size())], tuple);
-          break;
-        case GroupingKind::kFields: {
-          const uint64_t h =
-              HashOfValue(tuple.field(edge.grouping.field_index), 77);
-          Deliver(edge.targets[h % edge.targets.size()], tuple);
-          break;
-        }
-        case GroupingKind::kGlobal:
-          Deliver(edge.targets[0], tuple);
-          break;
-      }
-    }
-  }
-
- private:
-  void Deliver(RTask* target, const Tuple& tuple) {
-    ReplayFinishCollector downstream(engine_, target, rng_.Next());
-    target->bolt->Execute(tuple, &downstream);
-    target->metrics->IncExecuted();
-  }
-
-  ReplayEngine* engine_;
-  RTask* task_;
-  Rng rng_;
 };
 
 ReplayEngine::ReplayEngine(Topology topology, RecordedRun run,
                            ReplayOptions options)
     : topology_(std::move(topology)),
       run_(std::move(run)),
-      options_(options) {}
+      options_(options),
+      graph_(run_.config, Clock::Steady(), /*live=*/false) {}
 
 ReplayEngine::~ReplayEngine() = default;
 
@@ -207,54 +75,17 @@ Status ReplayEngine::Prepare() {
   STREAMLIB_RETURN_NOT_OK(MatchesTopology(run_.fingerprint, topology_));
   STREAMLIB_RETURN_NOT_OK(run_.config.Validate());
 
-  if (run_.config.faults.Enabled()) {
-    fault_plan_ = std::make_unique<FaultPlan>(run_.config.faults);
+  graph_.Build(topology_, &metrics_, [this] {
+    tasks_.push_back(std::make_unique<StageTask>());
+    return tasks_.back().get();
+  });
+  for (auto& task : tasks_) {
+    collectors_.push_back(std::make_unique<ReplayCollector>(this, task.get()));
   }
-
-  const auto& components = topology_.components();
-  std::vector<std::vector<RTask*>> tasks_by_component(components.size());
-  for (size_t ci = 0; ci < components.size(); ci++) {
-    const ComponentSpec& spec = components[ci];
-    for (uint32_t ti = 0; ti < spec.parallelism; ti++) {
-      auto task = std::make_unique<RTask>();
-      task->global_index = tasks_.size();
-      task->component_index = ci;
-      task->task_index = ti;
-      task->is_spout = spec.is_spout;
-      task->metrics = &metrics_.RegisterTask(spec.name, ti);
-      if (!spec.is_spout) task->bolt = spec.bolt_factory();
-      if (fault_plan_ != nullptr) {
-        task->transport_faults =
-            fault_plan_->MakeSite(task->global_index * 4 + 0, task->metrics);
-        task->executor_faults =
-            fault_plan_->MakeSite(task->global_index * 4 + 1, task->metrics);
-        if (!spec.is_spout && run_.config.faults.queue_stall_prob > 0) {
-          task->stall_faults =
-              fault_plan_->MakeSite(task->global_index * 4 + 2, task->metrics);
-        }
-      }
-      task->collector = std::make_unique<ReplayCollector>(
-          this, task.get(),
-          run_.config.seed ^
-              (0x9e3779b97f4a7c15ULL * (task->global_index + 1)));
-      tasks_by_component[ci].push_back(task.get());
-      tasks_.push_back(std::move(task));
-    }
-  }
-
-  outgoing_.assign(components.size(), {});
-  for (size_t ci = 0; ci < components.size(); ci++) {
-    for (const Subscription& sub : components[ci].inputs) {
-      const size_t source = topology_.IndexOf(sub.source);
-      Edge edge;
-      edge.grouping = sub.grouping;
-      edge.targets = tasks_by_component[ci];
-      outgoing_[source].push_back(std::move(edge));
-    }
-  }
-
+  inputs_seen_.assign(tasks_.size(), 0);
   metrics_.Freeze();
 
+  const auto& components = topology_.components();
   for (auto& task : tasks_) {
     if (task->bolt != nullptr) {
       task->bolt->Prepare(task->task_index,
@@ -264,7 +95,7 @@ Status ReplayEngine::Prepare() {
 
   for (const RecordedEmission& emission : run_.emissions) {
     if (emission.spout_task >= tasks_.size() ||
-        !tasks_[emission.spout_task]->is_spout) {
+        tasks_[emission.spout_task]->bolt != nullptr) {
       return Status::Corruption(
           "recording: emission references task " +
           std::to_string(emission.spout_task) + " which is not a spout task");
@@ -296,7 +127,7 @@ void ReplayEngine::ApplyAck(uint64_t root, uint64_t xor_value) {
 
 void ReplayEngine::MaybeResolveRoot() {
   if (!root_active_ || !work_.empty()) return;
-  RTask* spout_task = tasks_[root_spout_task_].get();
+  StageTask* spout_task = tasks_[root_spout_task_].get();
   if (root_value_ == 0) {
     completed_roots_++;
     spout_task->metrics->IncAcked();
@@ -307,74 +138,35 @@ void ReplayEngine::MaybeResolveRoot() {
   root_active_ = false;
 }
 
-void ReplayEngine::RestartBolt(RTask* task) {
-  const ComponentSpec& spec = topology_.components()[task->component_index];
-  task->bolt = spec.bolt_factory();
-  task->bolt->Prepare(task->task_index, spec.parallelism);
-}
-
 void ReplayEngine::EmitNext() {
   const RecordedEmission& emission = run_.emissions[next_emission_];
   next_emission_++;
-  RTask* task = tasks_[emission.spout_task].get();
-  task->collector->Emit(emission.tuple);
+  collectors_[emission.spout_task]->Emit(emission.tuple);
 }
 
-void ReplayEngine::ExecuteDelivery(Delivery& delivery) {
-  RTask* task = delivery.target;
-  task->inputs_seen++;
-  // The live engine draws one stall decision per drained message on the
-  // consumer; same stream position here, no sleep.
-  if (task->stall_faults != nullptr) task->stall_faults->QueueStallMicros();
-  ReplayCollector* collector = task->collector.get();
-  FaultSite* faults = task->executor_faults.get();
-  collector->BeginExecute(delivery.root_id);
-  bool ok = true;
-  try {
-    if (faults != nullptr && faults->FireBoltThrow()) {
-      throw InjectedBoltError("injected bolt failure");
-    }
-    task->bolt->Execute(delivery.tuple, collector);
-  } catch (...) {
-    ok = false;
-    task->metrics->IncBoltExceptions();
-  }
-  const uint64_t xor_out = collector->EndExecute();
-  if (!ok) return;  // Failed tuple: no executed count, no crash/ack draws.
-  task->metrics->IncExecuted();
-  const bool track =
-      run_.config.semantics == DeliverySemantics::kAtLeastOnce;
-  const bool crash_now = faults != nullptr && faults->FireTaskCrash();
-  if (track && delivery.root_id != 0 && !crash_now) {
-    // StageAck mirror: the kUpdate event may be lost to the acker-loss
-    // fault; a lost update leaves the ledger bit set, failing the root.
-    if (!(faults != nullptr && faults->FireAckerLoss())) {
-      ApplyAck(delivery.root_id, delivery.edge_id ^ xor_out);
-    }
-  }
-  if (crash_now) RestartBolt(task);
-}
-
-void ReplayEngine::RunFinishPass() {
-  for (const auto& task : tasks_) {
-    if (task->bolt == nullptr) continue;
-    ReplayFinishCollector collector(this, task.get(),
-                                    run_.config.seed ^ task->global_index);
-    task->bolt->Finish(&collector);
-  }
+/// Executes the FIFO's head delivery through the shared stage runner, its
+/// ack landing in the synchronous ledger.
+void ReplayEngine::ExecuteNext() {
+  Delivery delivery = std::move(work_.front());
+  work_.pop_front();
+  StageTask* task = delivery.target;
+  inputs_seen_[task->global_index]++;
+  ReplayCollector* collector = collectors_[task->global_index].get();
+  const StageOutcome outcome =
+      graph_.Run(task, delivery.message, collector, collector);
+  if (outcome != StageOutcome::kFailed) task->metrics->IncExecuted();
+  if (outcome == StageOutcome::kCrashed) graph_.RestartBolt(task);
 }
 
 void ReplayEngine::StepInternal(bool allow_finish) {
   if (!work_.empty()) {
-    Delivery delivery = std::move(work_.front());
-    work_.pop_front();
-    ExecuteDelivery(delivery);
+    ExecuteNext();
     MaybeResolveRoot();
   } else if (next_emission_ < run_.emissions.size()) {
     EmitNext();
     MaybeResolveRoot();  // A fully dropped tree resolves immediately.
   } else if (allow_finish && !finish_done_) {
-    RunFinishPass();
+    graph_.RunFinishPass();
     finish_done_ = true;
   }
 }
@@ -391,7 +183,7 @@ bool ReplayEngine::PreStepBreakpoint() const {
     if (bp.kind != Breakpoint::Kind::kTaskTuple) continue;
     if (bp.task != next.target->global_index) continue;
     const uint64_t ordinal = std::max<uint64_t>(1, bp.count);
-    if (next.target->inputs_seen + 1 == ordinal) return true;
+    if (inputs_seen_[next.target->global_index] + 1 == ordinal) return true;
   }
   return false;
 }
@@ -400,8 +192,8 @@ bool ReplayEngine::PostStepBreakpoint() {
   for (const Breakpoint& bp : breakpoints_) {
     switch (bp.kind) {
       case Breakpoint::Kind::kFirstFault:
-        if (!first_fault_fired_ && fault_plan_ != nullptr &&
-            fault_plan_->total_injected() > 0) {
+        if (!first_fault_fired_ && fault_plan() != nullptr &&
+            fault_plan()->total_injected() > 0) {
           first_fault_fired_ = true;
           return true;
         }
@@ -463,7 +255,7 @@ size_t ReplayEngine::pending_deliveries() const { return work_.size(); }
 
 uint64_t ReplayEngine::inputs_seen(size_t global_index) const {
   STREAMLIB_CHECK(global_index < tasks_.size());
-  return tasks_[global_index]->inputs_seen;
+  return inputs_seen_[global_index];
 }
 
 size_t ReplayEngine::task_count() const { return tasks_.size(); }
@@ -476,7 +268,7 @@ const TaskMetrics& ReplayEngine::task_metrics(size_t global_index) const {
 std::optional<std::vector<uint8_t>> ReplayEngine::TaskStateBlob(
     size_t global_index) const {
   STREAMLIB_CHECK(global_index < tasks_.size());
-  const RTask& task = *tasks_[global_index];
+  const StageTask& task = *tasks_[global_index];
   if (task.bolt == nullptr) return std::nullopt;
   return task.bolt->StateBlob();
 }
@@ -507,7 +299,9 @@ RunSummary ReplayEngine::Summary() const {
   RunSummary summary;
   summary.completed_roots = completed_roots_;
   summary.failed_roots = failed_roots_;
-  if (fault_plan_ != nullptr) summary.faults_by_kind = fault_plan_->Snapshot();
+  if (fault_plan() != nullptr) {
+    summary.faults_by_kind = fault_plan()->Snapshot();
+  }
   summary.tasks.reserve(metrics_.task_count());
   for (size_t i = 0; i < metrics_.task_count(); i++) {
     const TaskMetrics& m = metrics_.task(i);

@@ -13,6 +13,7 @@
 #include "platform/checkpoint.h"
 #include "platform/metrics.h"
 #include "platform/recorder.h"
+#include "platform/stage.h"
 #include "platform/topology.h"
 
 namespace streamlib::platform {
@@ -21,16 +22,21 @@ namespace streamlib::platform {
 /// Time-travel re-execution of a flight recording (recorder.h): the
 /// recorded spout emissions are fed through the topology one at a time on
 /// a single thread, with every nondeterministic decision — shuffle
-/// routing, fault draws — regenerated from the recorded seeds in exactly
-/// the per-site consultation order of the live engine. Between any two
-/// tuples the debugger can pause, inspect bolt state (Bolt::StateBlob)
-/// and live TaskMetrics, and resume.
+/// routing, fault draws — regenerated from the recorded seeds. The
+/// replayer adds only its own control loop (FIFO drain, synchronous ledger,
+/// breakpoints, stepping): task and fault-site construction, the fusion
+/// pass, routing, transport draws, edge ids, the stage runner and the
+/// finish pass are the live engine's own code (StageGraph, stage.h), so
+/// every site is consulted in the live per-site order by construction —
+/// fused chains included. Between any two tuples the debugger can pause,
+/// inspect bolt state (Bolt::StateBlob) and live TaskMetrics, and resume.
 ///
 /// Determinism contract (DESIGN.md §11): replay-vs-replay of one
 /// recording is always bit-identical. Replay-vs-original is bit-identical
 /// when (1) every bolt fed during the run phase has exactly one producer
-/// *task* (chains and fields/shuffle fan-outs from a single source task —
-/// combiners fed only by the single-threaded finish pass don't count),
+/// *task* (chains, fused chains at any parallelism, and fields/shuffle
+/// fan-outs from a single source task — combiners fed only by the
+/// single-threaded finish pass don't count),
 /// (2) executor-site faults (bolt_throw / task_crash / acker_loss) are
 /// only armed with execute_batch_size == 1, (3) at-least-once broadcast
 /// edges out of spouts are avoided, and (4) with task_crash armed, the
@@ -39,9 +45,10 @@ namespace streamlib::platform {
 /// sequential re-execution can reproduce, and the denial leaks into the
 /// losing site's later draw stream (a crash skips the acker-loss draw).
 /// Condition (1) pins each task's input order to one producer's program
-/// order; (2) pins the executor fault-draw order per tuple; the live ack
-/// timeout must also be long enough that only structurally unresolvable
-/// trees fail.
+/// order; (2) pins the per-tuple blast radius (a crash kills the rest of a
+/// popped batch; a batch-capable bolt's throw fails its whole batch); the
+/// live ack timeout must also be long enough that only structurally
+/// unresolvable trees fail.
 ///
 /// Epoch checkpointing (DESIGN.md §12) is outside this contract entirely:
 /// recording requires epoch_interval_tuples == 0 and resume_from_epoch ==
@@ -138,7 +145,7 @@ class ReplayEngine {
   const TaskMetrics& task_metrics(size_t global_index) const;
   MetricsRegistry& metrics() { return metrics_; }
   /// Null when the recording ran without fault injection.
-  const FaultPlan* fault_plan() const { return fault_plan_.get(); }
+  const FaultPlan* fault_plan() const { return graph_.fault_plan(); }
   uint64_t completed_roots() const { return completed_roots_; }
   uint64_t failed_roots() const { return failed_roots_; }
   const RecordedRun& run() const { return run_; }
@@ -154,17 +161,12 @@ class ReplayEngine {
   Status CompareWithRecorded() const;
 
  private:
-  struct RTask;
-  struct Edge;
   struct Delivery;
   class ReplayCollector;
-  class ReplayFinishCollector;
 
   void EmitNext();
-  void ExecuteDelivery(Delivery& delivery);
+  void ExecuteNext();
   void MaybeResolveRoot();
-  void RestartBolt(RTask* task);
-  void RunFinishPass();
   void StepInternal(bool allow_finish);
   bool PreStepBreakpoint() const;
   bool PostStepBreakpoint();
@@ -177,16 +179,18 @@ class ReplayEngine {
   bool prepared_ = false;
 
   MetricsRegistry metrics_;
-  std::unique_ptr<FaultPlan> fault_plan_;
-  std::vector<std::unique_ptr<RTask>> tasks_;
-  std::vector<std::vector<Edge>> outgoing_;  // Per component index.
+  // Task and fault-site construction, routing, transport draws, edge ids,
+  // the stage runner and the finish pass: the live engine's own code.
+  StageGraph graph_;
+  std::vector<std::unique_ptr<StageTask>> tasks_;
+  std::vector<std::unique_ptr<ReplayCollector>> collectors_;
+  std::vector<uint64_t> inputs_seen_;  // Per task (kTaskTuple's counter).
 
   std::deque<Delivery> work_;
   uint64_t next_emission_ = 0;
   bool finish_done_ = false;
 
   uint64_t next_root_id_ = 1;
-  uint64_t next_edge_id_ = 1;
   // The one in-flight tree's ledger (trees drain before the next starts).
   bool root_active_ = false;
   uint64_t root_id_ = 0;

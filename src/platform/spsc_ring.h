@@ -6,7 +6,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -198,7 +197,6 @@ class SpscRing {
       std::lock_guard<std::mutex> lock(mu_);
       not_full_.notify_one();
     }
-    if (pop_interceptor_) pop_interceptor_(n);
     return n;
   }
 
@@ -229,14 +227,6 @@ class SpscRing {
   }
 
   size_t capacity() const { return capacity_; }
-
-  /// Fault-injection hook: invoked with the drained count after every
-  /// successful pop, on the consumer thread (never during the empty spin).
-  /// Must be installed before the consumer starts; when unset the fast
-  /// path pays one predictable branch. See BlockingQueue::SetPopInterceptor.
-  void SetPopInterceptor(std::function<void(size_t)> interceptor) {
-    pop_interceptor_ = std::move(interceptor);
-  }
 
  private:
   /// Spin budget before parking on the condvar (a few microseconds —
@@ -330,7 +320,6 @@ class SpscRing {
   std::unique_ptr<T[]> slots_;
   size_t capacity_ = 0;
   size_t mask_ = 0;
-  std::function<void(size_t)> pop_interceptor_;
 
   std::mutex mu_;
   std::condition_variable not_full_;

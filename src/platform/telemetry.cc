@@ -89,7 +89,7 @@ TelemetryReport Telemetry::BuildReport() const {
     report.recording.bytes = recorder_->bytes_written();
     report.recording.dropped = recorder_->dropped_records();
   }
-  if (sampler_ != nullptr) report.time_series = sampler_->Snapshot();
+  report.time_series = TimeSeries();
   report.trace_trees = traces_.trees();
   report.hop_stats = traces_.ComponentHopStats();
   report.trace_events_dropped = traces_.dropped_events();

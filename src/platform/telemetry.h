@@ -2,6 +2,7 @@
 #define STREAMLIB_PLATFORM_TELEMETRY_H_
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -136,7 +137,11 @@ class Telemetry {
     sample_interval_ms_ = sample_interval_ms;
     trace_sample_every_ = trace_sample_every;
   }
-  void AttachSampler(const MetricsSampler* sampler) { sampler_ = sampler; }
+  /// Published with release order: TimeSeries() may already be polling
+  /// from another thread when Run() attaches the sampler.
+  void AttachSampler(const MetricsSampler* sampler) {
+    sampler_.store(sampler, std::memory_order_release);
+  }
   /// Null outside chaos runs (injection disabled).
   void BindFaultPlan(const FaultPlan* plan) { fault_plan_ = plan; }
   /// Null when the run is not being recorded (recorder.h).
@@ -146,7 +151,8 @@ class Telemetry {
   /// Snapshot of the sampler time series; safe to call from any thread
   /// while the topology is running (empty when the sampler is disabled).
   std::vector<TelemetrySample> TimeSeries() const {
-    return sampler_ ? sampler_->Snapshot() : std::vector<TelemetrySample>{};
+    const MetricsSampler* sampler = sampler_.load(std::memory_order_acquire);
+    return sampler ? sampler->Snapshot() : std::vector<TelemetrySample>{};
   }
 
   /// Trace trees and hop summaries; populated after Run() completes.
@@ -158,7 +164,7 @@ class Telemetry {
 
  private:
   const MetricsRegistry* registry_ = nullptr;
-  const MetricsSampler* sampler_ = nullptr;
+  std::atomic<const MetricsSampler*> sampler_{nullptr};
   const FaultPlan* fault_plan_ = nullptr;
   const RunRecorder* recorder_ = nullptr;
   TraceStore traces_;

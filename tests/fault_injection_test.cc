@@ -13,7 +13,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <initializer_list>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -26,6 +28,7 @@
 #include "common/state.h"
 #include "core/frequency/count_min_sketch.h"
 #include "platform/checkpoint.h"
+#include "platform/clock.h"
 #include "platform/components.h"
 #include "platform/engine.h"
 #include "platform/epoch.h"
@@ -177,6 +180,90 @@ TEST(FaultDeterminismTest, SeededReplayProducesIdenticalFaultSchedule) {
   const ChaosRunResult c = RunAtMostOnceChain(other, 4000,
                                               ExecutionMode::kDedicated);
   EXPECT_NE(a.injected, c.injected);
+}
+
+/// One at-least-once src -> map -> sink run (parallelism 1, shuffle edges)
+/// under `spec`: the resolved root counts, the sink's deliveries, and every
+/// site's draw statistics.
+struct TrackedChainResult {
+  uint64_t completed_roots = 0;
+  uint64_t failed_roots = 0;
+  uint64_t sink_count = 0;
+  std::map<uint64_t, FaultSiteStats> site_stats;
+};
+
+TrackedChainResult RunAtLeastOnceChain(const FaultSpec& spec, int64_t n) {
+  auto sunk = std::make_shared<std::atomic<uint64_t>>(0);
+  TopologyBuilder builder;
+  builder.AddSpout("src", [n]() -> std::unique_ptr<Spout> {
+    return std::make_unique<GeneratorSpout>(
+        [n, i = int64_t{0}]() mutable -> std::optional<Tuple> {
+          if (i >= n) return std::nullopt;
+          return Tuple::Of(i++);
+        });
+  });
+  builder.AddBolt(
+      "map",
+      []() -> std::unique_ptr<Bolt> {
+        return std::make_unique<FunctionBolt>(
+            [](const Tuple& t, OutputCollector* out) { out->Emit(t); });
+      },
+      1, {{"src", Grouping::Shuffle()}});
+  builder.AddBolt(
+      "sink",
+      [sunk]() -> std::unique_ptr<Bolt> {
+        return std::make_unique<FunctionBolt>(
+            [sunk](const Tuple&, OutputCollector*) {
+              sunk->fetch_add(1, std::memory_order_relaxed);
+            });
+      },
+      1, {{"map", Grouping::Shuffle()}});
+
+  EngineConfig config;
+  config.semantics = DeliverySemantics::kAtLeastOnce;
+  config.ack_timeout_seconds = 0.5;  // Fault-hit roots fail fast.
+  config.telemetry_sample_interval_ms = 0;
+  config.faults = spec;
+  TopologyEngine engine(builder.Build().value(), config);
+  engine.Run();
+
+  TrackedChainResult result;
+  result.completed_roots = engine.completed_roots();
+  result.failed_roots = engine.failed_roots();
+  result.sink_count = sunk->load();
+  result.site_stats = engine.fault_plan()->SiteStatsSnapshot();
+  return result;
+}
+
+TEST(FaultDeterminismTest, SameSeedAtLeastOnceRunsResolveIdenticalRoots) {
+  // Every site draws the same schedule in every same-seed run, so every
+  // root keeps the same set of uncleared edge ids and must resolve the same
+  // way. With small sequential edge ids, three uncleared ids could XOR to
+  // zero (1 ^ 2 ^ 3 == 0) and ack a root that lost a tuple — which ids a
+  // root got depended on thread interleaving, so the counts wandered.
+  FaultSpec spec;
+  spec.seed = TestSeed() ^ 0x1d5;
+  spec.drop_tuple_prob = 0.05;
+  spec.duplicate_tuple_prob = 0.05;
+  spec.delay_delivery_prob = 0.02;
+  spec.delay_max_micros = 1;
+  spec.bolt_throw_prob = 0.03;
+  spec.acker_loss_prob = 0.03;
+  spec.queue_stall_prob = 0.03;
+  spec.queue_stall_micros = 1;
+
+  const TrackedChainResult first = RunAtLeastOnceChain(spec, 1500);
+  EXPECT_GT(first.completed_roots, 0u);
+  EXPECT_GT(first.failed_roots, 0u);
+  EXPECT_EQ(first.completed_roots + first.failed_roots, 1500u);
+  for (int run = 1; run < 10; run++) {
+    SCOPED_TRACE("run " + std::to_string(run));
+    const TrackedChainResult again = RunAtLeastOnceChain(spec, 1500);
+    EXPECT_EQ(again.site_stats, first.site_stats);
+    EXPECT_EQ(again.completed_roots, first.completed_roots);
+    EXPECT_EQ(again.failed_roots, first.failed_roots);
+    EXPECT_EQ(again.sink_count, first.sink_count);
+  }
 }
 
 // ------------------------------------------- at-least-once under chaos mix
@@ -394,6 +481,11 @@ TEST(AckTimeoutReplayTest, DroppedTupleFailsThenReplaysToFullAck) {
   // Drops only: a root whose delivery was dropped can resolve only via
   // ack-timeout -> OnFail -> spout re-emission. Termination requires that
   // whole path to work.
+  //
+  // The engine runs on a ManualClock, and the test advances it past the
+  // ack timeout only while every in-flight root is a dropped one — so no
+  // healthy root can ever time out and double-deliver, however slow the
+  // host.
   constexpr int64_t kN = 100;
   auto state = std::make_shared<ReplayState>(kN);
   auto delivered = std::make_shared<std::atomic<uint64_t>>(0);
@@ -412,13 +504,43 @@ TEST(AckTimeoutReplayTest, DroppedTupleFailsThenReplaysToFullAck) {
       },
       1, {{"src", Grouping::Global()}});
 
+  ManualClock clock(uint64_t{1} << 30);
   EngineConfig config;
   config.semantics = DeliverySemantics::kAtLeastOnce;
   config.ack_timeout_seconds = 0.1;
+  config.clock = &clock;
   config.faults.seed = TestSeed() ^ 0xd409;
   config.faults.drop_tuple_prob = 0.05;
   TopologyEngine engine(builder.Build().value(), config);
-  engine.Run();
+  std::atomic<bool> finished{false};
+  std::thread runner([&] {
+    engine.Run();
+    finished.store(true, std::memory_order_release);
+  });
+
+  while (!finished.load(std::memory_order_acquire)) {
+    bool only_dropped_in_flight = false;
+    {
+      std::lock_guard<std::mutex> lock(state->mu);
+      // Every payload is accounted for (none is between the spout's pop
+      // and its in-flight insert), nothing waits to be emitted, and the
+      // in-flight roots are exactly the stranded ones: each root has one
+      // delivery, each drop strands one root, and each failure resolved
+      // one. The first emission orders this read of the fault plan after
+      // the engine built it.
+      if (state->emitted > 0 && state->pending.empty() &&
+          state->inflight.size() + state->acked == static_cast<size_t>(kN)) {
+        const uint64_t drops =
+            engine.fault_plan()->injected(FaultKind::kDropTuple);
+        only_dropped_in_flight =
+            !state->inflight.empty() &&
+            state->inflight.size() == drops - state->failed;
+      }
+    }
+    if (only_dropped_in_flight) clock.AdvanceNanos(200'000'000);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  runner.join();
 
   const uint64_t drops =
       engine.fault_plan()->injected(FaultKind::kDropTuple);

@@ -261,21 +261,6 @@ TEST(FusionLegalityTest, EpochBarrierEdgesRefuse) {
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
 }
 
-TEST(FusionLegalityTest, RecorderTappedSpoutRefusesButBoltChainFuses) {
-  TupleSink sink;
-  FusionOptions options = FusionOn();
-  options.recorder_attached = true;
-  TopologyPlan plan = PlanFor(ThreeStageChain(&sink, 1), options);
-  // The spout edge must stay queued (recordings replay through queued
-  // edges), but the bolt->bolt tail is still eligible.
-  EXPECT_EQ(plan.fused_edge_count(), 1u);
-  EXPECT_NE(EdgeBetween(plan, "src", "map").veto.find("recorder"),
-            std::string::npos);
-  EXPECT_EQ(EdgeBetween(plan, "map", "sink").channel, EdgeChannel::kFused);
-  ASSERT_EQ(plan.chains().size(), 1u);
-  EXPECT_EQ(plan.chains()[0], (std::vector<size_t>{1, 2}));
-}
-
 // ------------------------------------------------------ engine execution
 
 struct RunOutcome {
@@ -385,8 +370,8 @@ TEST(FusedFaultScheduleTest, FusedChainDrawsIdenticalScheduleToQueued) {
   // The PR 3 contract, extended across compilation modes: with the same
   // seed, every fault site must consult its PRNG the same number of times
   // and fire the same draws whether the chain runs fused or queued.
-  // (Crash and stall stay 0: a crash's blast radius is defined in terms
-  // of queue batches, and fused chains have no queues to stall.)
+  // (Crash stays 0: a crash's blast radius is defined in terms of queue
+  // batches.)
   FaultSpec faults;
   faults.seed = 0xabcde;
   faults.drop_tuple_prob = 0.05;
@@ -406,6 +391,27 @@ TEST(FusedFaultScheduleTest, FusedChainDrawsIdenticalScheduleToQueued) {
   // Identical schedules resolve identical root fates.
   EXPECT_EQ(fused.completed_roots, queued.completed_roots);
   EXPECT_EQ(fused.failed_roots, queued.failed_roots);
+
+  // Second mix: acker loss and queue stalls too. A fused hop runs through
+  // the same stage runner as a queued delivery, so it draws both exactly
+  // where the queued consumer does.
+  FaultSpec more = faults;
+  more.acker_loss_prob = 0.03;
+  more.queue_stall_prob = 0.03;
+  more.queue_stall_micros = 1;
+  const RunOutcome queued_more =
+      RunChain(1500, /*fuse=*/false, DeliverySemantics::kAtLeastOnce, more);
+  const RunOutcome fused_more =
+      RunChain(1500, /*fuse=*/true, DeliverySemantics::kAtLeastOnce, more);
+  EXPECT_EQ(fused_more.fused_edges, 2u);
+  for (FaultKind kind : {FaultKind::kAckerEventLoss, FaultKind::kQueueStall}) {
+    EXPECT_GT(queued_more.injected[static_cast<size_t>(kind)], 0u)
+        << FaultKindName(kind);
+  }
+  EXPECT_EQ(fused_more.site_stats, queued_more.site_stats);
+  EXPECT_EQ(fused_more.injected, queued_more.injected);
+  EXPECT_EQ(fused_more.completed_roots, queued_more.completed_roots);
+  EXPECT_EQ(fused_more.failed_roots, queued_more.failed_roots);
 }
 
 // -------------------------------------- batched-path draw sizing bugfix

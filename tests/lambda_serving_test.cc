@@ -433,10 +433,17 @@ TEST(QueryFrontendStressTest, SameVersionAnswersAreIdentical) {
   QueryFrontend frontend(&pipeline.serving(), fe_config);
   frontend.Start();
 
+  // After its last ingest the writer waits until the reader has seen one
+  // snapshot version twice: the version stops moving then, so the next
+  // query repeats it, however the two threads were scheduled.
   std::atomic<bool> done{false};
+  std::atomic<bool> repeated{false};
   std::thread writer([&] {
     for (int i = 0; i < 8000; i++) {
       pipeline.Ingest(i, NumberedKey("key", i % 5), 1.0);
+    }
+    while (!repeated.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
     }
     done.store(true, std::memory_order_release);
   });
@@ -450,11 +457,16 @@ TEST(QueryFrontendStressTest, SameVersionAnswersAreIdentical) {
   uint64_t repeats = 0;
   while (!done.load(std::memory_order_acquire)) {
     Result<QueryResponse> r = frontend.Query(request);
-    ASSERT_TRUE(r.ok());
+    if (!r.ok()) {
+      ADD_FAILURE() << "query failed: " << r.status().ToString();
+      repeated.store(true, std::memory_order_release);  // Release the writer.
+      break;
+    }
     if (r.value().snapshot_version == last_version) {
       EXPECT_DOUBLE_EQ(r.value().value, last_value)
           << "two answers from snapshot v" << last_version << " differ";
       repeats++;
+      repeated.store(true, std::memory_order_release);
     } else {
       EXPECT_GT(r.value().snapshot_version, last_version)
           << "snapshot version went backward";

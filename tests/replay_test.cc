@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -552,6 +553,104 @@ TEST(RecordReplayChaosTest, CrashAndRestoreMidRecordingReplaysIdentically) {
     std::remove(path.c_str());
   }
   EXPECT_TRUE(crash_covered) << "no seed produced a mid-run task crash";
+}
+
+// ------------------------------------------------ fused chains replay
+
+// src -> map -> sink, parallelism 1. With `fuse_spout_edge` the spout edge
+// is a shuffle and the whole chain fuses; otherwise it is fields-grouped,
+// stays queued, and only map -> sink fuses (a bolt-headed chain).
+Topology FusibleChain(bool fuse_spout_edge, uint64_t n,
+                      std::shared_ptr<std::atomic<uint64_t>> sunk) {
+  TopologyBuilder builder;
+  auto gen = std::make_shared<WordGen>(0x5eed, n);
+  builder.AddSpout("src", [gen] {
+    return std::make_unique<GeneratorSpout>([gen] { return gen->Next(); });
+  });
+  builder.AddBolt(
+      "map",
+      [] {
+        return std::make_unique<FunctionBolt>(
+            [](const Tuple& input, OutputCollector* out) { out->Emit(input); });
+      },
+      1,
+      {{"src", fuse_spout_edge ? Grouping::Shuffle() : Grouping::Fields(0)}});
+  builder.AddBolt(
+      "sink",
+      [sunk] {
+        return std::make_unique<FunctionBolt>(
+            [sunk](const Tuple&, OutputCollector*) {
+              sunk->fetch_add(1, std::memory_order_relaxed);
+            });
+      },
+      1, {{"map", Grouping::Shuffle()}});
+  return builder.Build().value();
+}
+
+// Records the chain fused under every data-plane fault kind and replays it:
+// fused hops run through the same stage runner as replayed deliveries, so
+// the replay must reproduce the recording exactly, sink count included.
+void ExpectFusedChainReplaysExactly(bool fuse_spout_edge,
+                                    size_t want_fused_edges) {
+  const uint64_t n = 2000;
+  const std::string path = TempPath("fused.slfr");
+  EngineConfig config;
+  config.seed = TestSeed() ^ 0xf05e;
+  config.semantics = DeliverySemantics::kAtLeastOnce;
+  config.enable_fusion = true;
+  config.execute_batch_size = 1;
+  config.ack_timeout_seconds = 0.5;
+  config.telemetry_sample_interval_ms = 0;
+  config.faults.seed = config.seed ^ 0xfau;
+  config.faults.drop_tuple_prob = 0.02;
+  config.faults.duplicate_tuple_prob = 0.02;
+  config.faults.delay_delivery_prob = 0.01;
+  config.faults.delay_max_micros = 5;
+  config.faults.bolt_throw_prob = 0.02;
+  config.faults.acker_loss_prob = 0.02;
+  config.faults.queue_stall_prob = 0.02;
+  config.faults.queue_stall_micros = 5;
+
+  auto live_sunk = std::make_shared<std::atomic<uint64_t>>(0);
+  Topology topology = FusibleChain(fuse_spout_edge, n, live_sunk);
+  Result<std::unique_ptr<RunRecorder>> recorder =
+      RunRecorder::Create(path, config, topology);
+  ASSERT_TRUE(recorder.ok()) << recorder.status().ToString();
+  config.recorder = recorder.value().get();
+  {
+    TopologyEngine engine(std::move(topology), config);
+    engine.Run();
+    EXPECT_EQ(engine.fused_edges(), want_fused_edges);
+  }
+  ASSERT_TRUE(recorder.value()->Finalize().ok());
+  Result<RecordedRun> run = ReadRecording(path);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  for (FaultKind kind :
+       {FaultKind::kDropTuple, FaultKind::kDuplicateTuple,
+        FaultKind::kBoltThrow, FaultKind::kAckerEventLoss,
+        FaultKind::kQueueStall}) {
+    EXPECT_GT(run.value().summary.faults_by_kind[static_cast<size_t>(kind)],
+              0u)
+        << FaultKindName(kind);
+  }
+
+  auto replay_sunk = std::make_shared<std::atomic<uint64_t>>(0);
+  ReplayEngine replay(FusibleChain(fuse_spout_edge, n, replay_sunk),
+                      run.value());
+  ASSERT_TRUE(replay.Prepare().ok());
+  EXPECT_EQ(replay.Run(), ReplayStop::kEnd);
+  const Status verdict = replay.CompareWithRecorded();
+  EXPECT_TRUE(verdict.ok()) << verdict.ToString();
+  EXPECT_EQ(replay_sunk->load(), live_sunk->load());
+  std::remove(path.c_str());
+}
+
+TEST(RecordReplayFusionTest, FullyFusedChainReplaysExactly) {
+  ExpectFusedChainReplaysExactly(/*fuse_spout_edge=*/true, 2);
+}
+
+TEST(RecordReplayFusionTest, BoltHeadedFusedChainReplaysExactly) {
+  ExpectFusedChainReplaysExactly(/*fuse_spout_edge=*/false, 1);
 }
 
 // --------------------------------------------- breakpoints and stepping
