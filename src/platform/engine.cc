@@ -145,7 +145,7 @@ struct TopologyEngine::Task : StageTask {
 };
 
 /// Engine-side OutputCollector for one task: anchors, stages each routed
-/// copy for its target (the Wire end of StageGraph::Send), applies
+/// copy for its target (the wire of StageGraph::Send), applies
 /// backpressure, and stages the task's acker traffic (its AckSink).
 ///
 /// Emissions do not hit downstream queues directly: they accumulate in
@@ -156,7 +156,6 @@ struct TopologyEngine::Task : StageTask {
 /// spouts, kUpdate from bolts) is staged and flushed the same way — one
 /// vector push per execute batch.
 class TopologyEngine::TaskCollector : public StageCollector,
-                                      public Wire,
                                       public AckSink {
  public:
   /// Builds one staging slot per distinct downstream task this task can
@@ -287,9 +286,9 @@ class TopologyEngine::TaskCollector : public StageCollector,
     acker_staging_.push_back(AckerEvent{AckerEvent::kUpdate, root, value, 0});
   }
 
-  /// Wire: stages one arriving copy for `target`, flushing the slot when
-  /// it reaches the batch size. The staging buffer is this engine's wire.
-  void Deliver(StageTask* target, Message&& message) override {
+  /// Send's wire: stages one arriving copy for `target`, flushing the slot
+  /// when it reaches the batch size.
+  void Deliver(StageTask* target, Message&& message) {
     StagingSlot& slot = slots_[slot_of_task_[target->global_index]];
     slot.buffer.push_back(std::move(message));
     if (slot.buffer.size() >= batch_size_) FlushSlot(slot);
@@ -716,22 +715,24 @@ void TopologyEngine::DeliverFusedHop(Task* head, size_t stage,
 /// accumulators that never emit from execution) on fully untraced batches.
 void TopologyEngine::ExecuteBatchFused(Task* task, std::span<Message> batch) {
   TaskCollector* collector = task->collector.get();
-  // ack_lost[i]: message i's ack drew the acker-loss fault. The first crash
-  // ends the draws for the batch (the scalar loop stops executing on a
-  // crash, leaving the remainder undrawn).
+  // ack_lost[i]: message i's ack drew the acker-loss fault (sized only
+  // when faults are on). The first crash ends the draws for the batch (the
+  // scalar loop stops executing on a crash, leaving the remainder undrawn).
+  const bool faults = graph_.fault_plan() != nullptr;
   thread_local std::vector<uint8_t> ack_lost;
-  ack_lost.assign(batch.size(), 0);
   bool throw_now = false;
   bool crash_now = false;
-  if (graph_.fault_plan() != nullptr) {
+  if (faults) {
+    ack_lost.assign(batch.size(), 0);
     for (size_t i = 0; i < batch.size() && !crash_now; i++) {
       if (graph_.StallThenDrawThrow(task)) {
         throw_now = true;
         continue;
       }
-      crash_now = graph_.DrawCrash(task);
-      ack_lost[i] = !crash_now && batch[i].root_id != 0 &&
-                    graph_.DrawAckerLoss(task);
+      const StageGraph::Fate fate =
+          graph_.DrawFate(task, batch[i].root_id != 0);
+      crash_now = fate == StageGraph::Fate::kCrash;
+      ack_lost[i] = fate == StageGraph::Fate::kAckLost;
     }
   }
   // A crash kills the batch unexecuted and unacked (at-least-once replays
@@ -771,7 +772,7 @@ void TopologyEngine::ExecuteBatchFused(Task* task, std::span<Message> batch) {
       }
       // Nothing was emitted, so each input's ledger entry closes with its
       // own edge id.
-      if (message.root_id != 0 && ack_lost[i] == 0) {
+      if (message.root_id != 0 && !(faults && ack_lost[i] != 0)) {
         collector->Ack(message.root_id, message.edge_id);
       }
     }

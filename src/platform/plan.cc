@@ -74,6 +74,15 @@ Status TopologyPlan::FusionLegality(const PlanNode& from, const PlanNode& to,
                                    std::to_string(from.parallelism) + " vs " +
                                    std::to_string(to.parallelism) + ")");
   }
+  // The replayer cannot know the run fused (SLFR does not carry
+  // enable_fusion) and routes a recorded shuffle by its rng, which picks
+  // task i for producer task i only when there is one task.
+  if (edge.grouping.kind == GroupingKind::kShuffle && options.recording &&
+      from.parallelism != 1) {
+    return Status::FailedPrecondition(
+        "recorded shuffle fuses only at parallelism 1: replay routes it by "
+        "grouping");
+  }
   if (edge.grouping.kind == GroupingKind::kGlobal &&
       (from.parallelism != 1 || to.parallelism != 1)) {
     return Status::InvalidArgument(

@@ -19,13 +19,17 @@ enum class EdgeChannel : uint8_t {
 /// The engine facts the fusion pass needs, decoupled from EngineConfig so
 /// the plan layer has no dependency on engine.h. StageGraph::Build fills
 /// this from the config (live and replayed runs alike); tests construct it
-/// directly. Recording is not among them: a fused hop draws exactly what a
-/// replayed delivery draws, so a recorded run fuses like any other.
+/// directly.
 struct FusionOptions {
   bool enable_fusion = false;     ///< master switch (EngineConfig::enable_fusion)
   bool dedicated_mode = true;     ///< ExecutionMode::kDedicated (one thread/task)
   bool tracked = false;           ///< delivery semantics track tuples (acking on)
   bool epochs_enabled = false;    ///< barrier checkpointing active
+  /// A flight recorder is attached. A fused hop draws exactly what a
+  /// replayed delivery draws, but SLFR does not carry enable_fusion, so the
+  /// replayer routes every edge by its grouping: a recorded shuffle fuses
+  /// only where that picks the same task (rule 6, parallelism 1).
+  bool recording = false;
 };
 
 /// One component of the topology, as a plan node. `component_index` equals

@@ -16,10 +16,9 @@ struct ReplayEngine::Delivery {
 
 /// The replayer's collector for one task. Routing, transport draws and edge
 /// ids come from StageGraph::Send like the live engine's; what differs is
-/// where things land: arriving copies join the replayer's FIFO (its Wire),
+/// where things land: arriving copies join the replayer's FIFO (Send's wire),
 /// roots open and acks fold into the synchronous ledger (its AckSink).
 class ReplayEngine::ReplayCollector : public StageCollector,
-                                      public Wire,
                                       public AckSink {
  public:
   ReplayCollector(ReplayEngine* engine, StageTask* task)
@@ -45,7 +44,7 @@ class ReplayEngine::ReplayCollector : public StageCollector,
     }
   }
 
-  void Deliver(StageTask* target, Message&& message) override {
+  void Deliver(StageTask* target, Message&& message) {
     engine_->work_.push_back(Delivery{target, std::move(message)});
   }
 

@@ -104,8 +104,9 @@ void StageGraph::Build(const Topology& topology, MetricsRegistry* metrics,
   }
 
   // Fused-operator compilation (DESIGN.md §13): lower the topology into the
-  // dataflow IR and run the fusion pass. The replayer runs it too, so it
-  // routes a fused edge exactly as the live chain did.
+  // dataflow IR and run the fusion pass. A recording's config reads back
+  // with enable_fusion off, so the replayer fuses nothing; a recorded run
+  // fuses only edges whose grouping routes to the same task (rule 6).
   plan_ = std::make_unique<TopologyPlan>(TopologyPlan::FromTopology(topology));
   FusionOptions fusion_options;
   fusion_options.enable_fusion = config_.enable_fusion;
@@ -113,6 +114,7 @@ void StageGraph::Build(const Topology& topology, MetricsRegistry* metrics,
   fusion_options.tracked = TracksTuples(config_.semantics);
   fusion_options.epochs_enabled =
       config_.epoch_interval_tuples > 0 || config_.resume_from_epoch > 0;
+  fusion_options.recording = config_.recorder != nullptr;
   plan_->RunFusionPass(fusion_options);
   for (const std::vector<size_t>& chain : plan_->chains()) {
     for (size_t i = 0; i + 1 < chain.size(); i++) {
@@ -148,49 +150,6 @@ void StageGraph::Route(const StageTask* from, const Tuple& tuple, Rng& rng,
         break;
     }
   }
-}
-
-uint64_t StageGraph::Send(StageTask* from, Tuple tuple, const Message& context,
-                          Wire* wire) {
-  std::vector<StageTask*>& targets = from->route_scratch;
-  targets.clear();
-  Route(from, tuple, from->rng, &targets);
-  const bool tracked = context.root_id != 0;
-  uint64_t edge_xor = 0;
-  for (size_t i = 0; i < targets.size(); i++) {
-    const int copies = DrawTransport(from);
-    if (copies == 0) {
-      // Transport loss: the edge id is anchored but the message never
-      // arrives — like a packet dropped after send. The ledger holds a
-      // bit no execution will clear, so under at-least-once the root
-      // times out and the spout's OnFail replays it.
-      if (tracked) edge_xor ^= NextEdgeId();
-      continue;
-    }
-    Message message;
-    message.tuple = i + 1 == targets.size() ? std::move(tuple) : Tuple(tuple);
-    message.root_id = context.root_id;
-    message.emit_time_nanos = context.emit_time_nanos;
-    message.producer_task = static_cast<uint32_t>(from->global_index);
-    if (context.trace_id != 0) {
-      // Traced path only: timestamp the enqueue (queue-wait = dequeue -
-      // enqueue at the consumer).
-      message.trace_id = context.trace_id;
-      message.trace_parent_span = context.trace_parent_span;
-      message.trace_enqueue_nanos = NowNanos();
-    }
-    // A duplicate is a redelivery with its own ledger entry, so the XOR
-    // accounting stays balanced while downstream genuinely sees the tuple
-    // twice — the duplication at-least-once permits and DedupLedger
-    // exists to suppress.
-    for (int copy = 0; copy < copies; copy++) {
-      message.edge_id = tracked ? NextEdgeId() : 0;
-      edge_xor ^= message.edge_id;
-      wire->Deliver(targets[i],
-                    copy + 1 < copies ? Message(message) : std::move(message));
-    }
-  }
-  return edge_xor;
 }
 
 void StageGraph::RestartBolt(StageTask* task) {

@@ -102,13 +102,6 @@ class AckSink {
   virtual void Fail(uint64_t root) { (void)root; }
 };
 
-/// Where Send hands each arriving copy of an emission.
-class Wire {
- public:
-  virtual ~Wire() = default;
-  virtual void Deliver(StageTask* target, Message&& message) = 0;
-};
-
 enum class StageOutcome {
   kOk,       ///< Execute completed and the ack (or its loss) was drawn
   kFailed,   ///< Execute threw (injected or real): the tuple fails
@@ -119,7 +112,8 @@ enum class StageOutcome {
 /// fault-site construction, edge resolution and the fusion plan, routing,
 /// transport draws, edge ids, the per-delivery stage runner and the finish
 /// pass. Both executors drive the same code, so a replay reproduces a live
-/// run draw for draw by construction, fused chains included.
+/// run draw for draw by construction: a fused hop draws what a queued or
+/// replayed delivery draws.
 class StageGraph {
  public:
   /// `config` must outlive the graph. `live` = false (the replayer) builds
@@ -174,8 +168,10 @@ class StageGraph {
   /// Routes one emission of `from` and sends each routed copy: transport
   /// draws, then a fresh edge id per arriving copy when `context.root_id`
   /// is tracked. Arriving messages carry `context`'s stamps and go to
-  /// `wire`. Returns the XOR of every edge id created (a dropped copy
-  /// still creates one).
+  /// `wire->Deliver(StageTask* target, Message&&)`: the engine's staging or
+  /// the replayer's FIFO. Returns the XOR of every edge id created (a
+  /// dropped copy still creates one).
+  template <typename Wire>
   uint64_t Send(StageTask* from, Tuple tuple, const Message& context,
                 Wire* wire);
 
@@ -199,14 +195,14 @@ class StageGraph {
     return task->executor_faults != nullptr &&
            task->executor_faults->FireBoltThrow();
   }
-  bool DrawCrash(StageTask* task) {
-    return task->executor_faults != nullptr &&
-           task->executor_faults->FireTaskCrash();
-  }
-  /// True when the acker-loss fault eats this hop's ack.
-  bool DrawAckerLoss(StageTask* task) {
-    return task->executor_faults != nullptr &&
-           task->executor_faults->FireAckerLoss();
+  /// What becomes of a hop whose Execute completed.
+  enum class Fate { kAck, kAckLost, kCrash };
+  /// Crash, then acker loss if the hop is `tracked` and nothing crashed.
+  Fate DrawFate(StageTask* task, bool tracked) {
+    FaultSite* faults = task->executor_faults.get();
+    if (faults == nullptr) return Fate::kAck;
+    if (faults->FireTaskCrash()) return Fate::kCrash;
+    return tracked && faults->FireAckerLoss() ? Fate::kAckLost : Fate::kAck;
   }
 
   /// Rebuilds `task`'s bolt from its factory and re-runs Prepare, as a
@@ -236,8 +232,52 @@ class StageGraph {
   std::atomic<uint64_t> next_span_id_{1};
 };
 
-// Defined here so every caller inlines it: the runner is on every hop of
-// the hot path, fused hops included.
+// Send and the runner are defined here so every caller inlines them (and
+// its Deliver): they run on every hop of the hot path, fused hops included.
+template <typename Wire>
+uint64_t StageGraph::Send(StageTask* from, Tuple tuple, const Message& context,
+                          Wire* wire) {
+  std::vector<StageTask*>& targets = from->route_scratch;
+  targets.clear();
+  Route(from, tuple, from->rng, &targets);
+  const bool tracked = context.root_id != 0;
+  uint64_t edge_xor = 0;
+  for (size_t i = 0; i < targets.size(); i++) {
+    const int copies = DrawTransport(from);
+    if (copies == 0) {
+      // Transport loss: the edge id is anchored but the message never
+      // arrives — like a packet dropped after send. The ledger holds a
+      // bit no execution will clear, so under at-least-once the root
+      // times out and the spout's OnFail replays it.
+      if (tracked) edge_xor ^= NextEdgeId();
+      continue;
+    }
+    Message message;
+    message.tuple = i + 1 == targets.size() ? std::move(tuple) : Tuple(tuple);
+    message.root_id = context.root_id;
+    message.emit_time_nanos = context.emit_time_nanos;
+    message.producer_task = static_cast<uint32_t>(from->global_index);
+    if (context.trace_id != 0) {
+      // Traced path only: timestamp the enqueue (queue-wait = dequeue -
+      // enqueue at the consumer).
+      message.trace_id = context.trace_id;
+      message.trace_parent_span = context.trace_parent_span;
+      message.trace_enqueue_nanos = NowNanos();
+    }
+    // A duplicate is a redelivery with its own ledger entry, so the XOR
+    // accounting stays balanced while downstream genuinely sees the tuple
+    // twice — the duplication at-least-once permits and DedupLedger
+    // exists to suppress.
+    for (int copy = 0; copy < copies; copy++) {
+      message.edge_id = tracked ? NextEdgeId() : 0;
+      edge_xor ^= message.edge_id;
+      wire->Deliver(targets[i],
+                    copy + 1 < copies ? Message(message) : std::move(message));
+    }
+  }
+  return edge_xor;
+}
+
 inline StageOutcome StageGraph::Run(StageTask* task, const Message& m,
                                     StageCollector* out, AckSink* acks) {
   const bool throw_now = StallThenDrawThrow(task);
@@ -278,21 +318,18 @@ inline StageOutcome StageGraph::Run(StageTask* task, const Message& m,
   // window. The completed Execute's state mutations (and any checkpoint
   // Put) survive, but the ack dies with the "process", so the root
   // replays into restored state: exactly the duplicate-delivery case
-  // checkpoint-then-ack dedup (DedupLedger) must absorb.
-  if (DrawCrash(task)) {
-    if (m.root_id != 0) acks->Fail(m.root_id);
-    return StageOutcome::kCrashed;
-  }
+  // checkpoint-then-ack dedup (DedupLedger) must absorb. An acker-loss
+  // fault loses the ack in transit instead: the root stays unresolved
+  // until the timeout fails it back to the spout.
+  const Fate fate = DrawFate(task, m.root_id != 0);
   if (m.root_id != 0) {
-    // Acker-loss fault: the ack is lost in transit, so the root stays
-    // unresolved until the timeout fails it back to the spout.
-    if (DrawAckerLoss(task)) {
-      acks->Fail(m.root_id);
-    } else {
+    if (fate == Fate::kAck) {
       acks->Ack(m.root_id, m.edge_id ^ xor_out);
+    } else {
+      acks->Fail(m.root_id);
     }
   }
-  return StageOutcome::kOk;
+  return fate == Fate::kCrash ? StageOutcome::kCrashed : StageOutcome::kOk;
 }
 
 }  // namespace streamlib::platform

@@ -208,6 +208,39 @@ TEST(FusionLegalityTest, GlobalGroupingFusesOnlyAtParallelismOne) {
             std::string::npos);
 }
 
+// The replayer routes a recorded shuffle by its rng, which picks the fused
+// hop's task only when there is one: recording keeps the wider edge queued
+// and leaves parallelism-1 chains fused.
+TEST(FusionLegalityTest, RecordedShuffleFusesOnlyAtParallelismOne) {
+  FusionOptions recording = FusionOn();
+  recording.recording = true;
+  for (uint32_t parallelism : {1u, 2u}) {
+    TupleSink sink;
+    TopologyBuilder builder;
+    builder.AddSpout("src", [] { return MakeCountingSpout(1); }, parallelism);
+    builder.AddBolt(
+        "sink",
+        [&sink]() -> std::unique_ptr<Bolt> {
+          return std::make_unique<SinkBolt>(&sink);
+        },
+        parallelism, {{"src", Grouping::Shuffle()}});
+    const Topology topology = builder.Build().value();
+    EXPECT_EQ(PlanFor(topology, FusionOn()).fused_edge_count(), 1u);
+    TopologyPlan plan = PlanFor(topology, recording);
+    const PlanEdge& edge = EdgeBetween(plan, "src", "sink");
+    const Status status = TopologyPlan::FusionLegality(
+        plan.nodes()[edge.from], plan.nodes()[edge.to], edge, recording);
+    if (parallelism == 1) {
+      EXPECT_EQ(plan.fused_edge_count(), 1u);
+      EXPECT_TRUE(status.ok()) << status.ToString();
+    } else {
+      EXPECT_EQ(plan.fused_edge_count(), 0u);
+      EXPECT_NE(edge.veto.find("recorded shuffle"), std::string::npos);
+      EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+    }
+  }
+}
+
 TEST(FusionLegalityTest, FanInAndFanOutRefuse) {
   TupleSink sink;
   TopologyBuilder builder;

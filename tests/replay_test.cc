@@ -557,23 +557,27 @@ TEST(RecordReplayChaosTest, CrashAndRestoreMidRecordingReplaysIdentically) {
 
 // ------------------------------------------------ fused chains replay
 
-// src -> map -> sink, parallelism 1. With `fuse_spout_edge` the spout edge
-// is a shuffle and the whole chain fuses; otherwise it is fields-grouped,
-// stays queued, and only map -> sink fuses (a bolt-headed chain).
-Topology FusibleChain(bool fuse_spout_edge, uint64_t n,
+// src -> map -> sink, `parallelism` tasks each, every spout task emitting
+// `n` tuples. With `fuse_spout_edge` the spout edge is a shuffle and the
+// whole chain is fusible; otherwise it is fields-grouped, stays queued, and
+// only map -> sink is (a bolt-headed chain).
+Topology FusibleChain(bool fuse_spout_edge, uint32_t parallelism, uint64_t n,
                       std::shared_ptr<std::atomic<uint64_t>> sunk) {
   TopologyBuilder builder;
-  auto gen = std::make_shared<WordGen>(0x5eed, n);
-  builder.AddSpout("src", [gen] {
-    return std::make_unique<GeneratorSpout>([gen] { return gen->Next(); });
-  });
+  builder.AddSpout(
+      "src",
+      [n] {
+        auto gen = std::make_shared<WordGen>(0x5eed, n);
+        return std::make_unique<GeneratorSpout>([gen] { return gen->Next(); });
+      },
+      parallelism);
   builder.AddBolt(
       "map",
       [] {
         return std::make_unique<FunctionBolt>(
             [](const Tuple& input, OutputCollector* out) { out->Emit(input); });
       },
-      1,
+      parallelism,
       {{"src", fuse_spout_edge ? Grouping::Shuffle() : Grouping::Fields(0)}});
   builder.AddBolt(
       "sink",
@@ -583,20 +587,15 @@ Topology FusibleChain(bool fuse_spout_edge, uint64_t n,
               sunk->fetch_add(1, std::memory_order_relaxed);
             });
       },
-      1, {{"map", Grouping::Shuffle()}});
+      parallelism, {{"map", Grouping::Shuffle()}});
   return builder.Build().value();
 }
 
-// Records the chain fused under every data-plane fault kind and replays it:
-// fused hops run through the same stage runner as replayed deliveries, so
-// the replay must reproduce the recording exactly, sink count included.
-void ExpectFusedChainReplaysExactly(bool fuse_spout_edge,
-                                    size_t want_fused_edges) {
-  const uint64_t n = 2000;
-  const std::string path = TempPath("fused.slfr");
+// Every data-plane fault kind, executor sites at execute_batch_size 1.
+EngineConfig FaultyFusionConfig(DeliverySemantics semantics) {
   EngineConfig config;
   config.seed = TestSeed() ^ 0xf05e;
-  config.semantics = DeliverySemantics::kAtLeastOnce;
+  config.semantics = semantics;
   config.enable_fusion = true;
   config.execute_batch_size = 1;
   config.ack_timeout_seconds = 0.5;
@@ -610,9 +609,24 @@ void ExpectFusedChainReplaysExactly(bool fuse_spout_edge,
   config.faults.acker_loss_prob = 0.02;
   config.faults.queue_stall_prob = 0.02;
   config.faults.queue_stall_micros = 5;
+  return config;
+}
 
+// Records the chain under `config`, checks the live fused-edge count and
+// that each of `fired` fired, then replays it and requires an exact match,
+// sink count included. The replayer itself fuses nothing (a recording
+// reads back with enable_fusion off): a fused hop runs the stage runner a
+// replayed delivery runs, and at parallelism 1 its grouping picks the one
+// task the fused hop feeds.
+void ExpectRecordedChainReplaysExactly(EngineConfig config,
+                                       bool fuse_spout_edge,
+                                       uint32_t parallelism,
+                                       size_t want_fused_edges,
+                                       const std::vector<FaultKind>& fired) {
+  const uint64_t n = 2000 / parallelism;
+  const std::string path = TempPath("fused.slfr");
   auto live_sunk = std::make_shared<std::atomic<uint64_t>>(0);
-  Topology topology = FusibleChain(fuse_spout_edge, n, live_sunk);
+  Topology topology = FusibleChain(fuse_spout_edge, parallelism, n, live_sunk);
   Result<std::unique_ptr<RunRecorder>> recorder =
       RunRecorder::Create(path, config, topology);
   ASSERT_TRUE(recorder.ok()) << recorder.status().ToString();
@@ -625,19 +639,17 @@ void ExpectFusedChainReplaysExactly(bool fuse_spout_edge,
   ASSERT_TRUE(recorder.value()->Finalize().ok());
   Result<RecordedRun> run = ReadRecording(path);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
-  for (FaultKind kind :
-       {FaultKind::kDropTuple, FaultKind::kDuplicateTuple,
-        FaultKind::kBoltThrow, FaultKind::kAckerEventLoss,
-        FaultKind::kQueueStall}) {
+  for (FaultKind kind : fired) {
     EXPECT_GT(run.value().summary.faults_by_kind[static_cast<size_t>(kind)],
               0u)
         << FaultKindName(kind);
   }
 
   auto replay_sunk = std::make_shared<std::atomic<uint64_t>>(0);
-  ReplayEngine replay(FusibleChain(fuse_spout_edge, n, replay_sunk),
-                      run.value());
+  ReplayEngine replay(
+      FusibleChain(fuse_spout_edge, parallelism, n, replay_sunk), run.value());
   ASSERT_TRUE(replay.Prepare().ok());
+  EXPECT_EQ(replay.fused_edges(), 0u);
   EXPECT_EQ(replay.Run(), ReplayStop::kEnd);
   const Status verdict = replay.CompareWithRecorded();
   EXPECT_TRUE(verdict.ok()) << verdict.ToString();
@@ -645,12 +657,37 @@ void ExpectFusedChainReplaysExactly(bool fuse_spout_edge,
   std::remove(path.c_str());
 }
 
+const std::vector<FaultKind> kEveryTrackedFault = {
+    FaultKind::kDropTuple, FaultKind::kDuplicateTuple, FaultKind::kBoltThrow,
+    FaultKind::kAckerEventLoss, FaultKind::kQueueStall};
+
 TEST(RecordReplayFusionTest, FullyFusedChainReplaysExactly) {
-  ExpectFusedChainReplaysExactly(/*fuse_spout_edge=*/true, 2);
+  ExpectRecordedChainReplaysExactly(
+      FaultyFusionConfig(DeliverySemantics::kAtLeastOnce),
+      /*fuse_spout_edge=*/true, /*parallelism=*/1, /*want_fused_edges=*/2,
+      kEveryTrackedFault);
 }
 
 TEST(RecordReplayFusionTest, BoltHeadedFusedChainReplaysExactly) {
-  ExpectFusedChainReplaysExactly(/*fuse_spout_edge=*/false, 1);
+  ExpectRecordedChainReplaysExactly(
+      FaultyFusionConfig(DeliverySemantics::kAtLeastOnce),
+      /*fuse_spout_edge=*/false, /*parallelism=*/1, /*want_fused_edges=*/1,
+      kEveryTrackedFault);
+}
+
+// At parallelism 2 a fused shuffle feeds task i from task i, which the
+// replayer's rng routing does not, so recording keeps both edges queued
+// (fusion rule 6). Queued, each map and sink task merges two producer
+// tasks — outside the contract's condition (1) — so this runs at-most-once:
+// with content-independent bolts and no roots to resolve, every recorded
+// counter is a function of per-site delivery counts alone and must replay
+// exactly. Were the edges fused, per-task counts would differ.
+TEST(RecordReplayFusionTest, RecordedShuffleAtParallelismTwoStaysQueued) {
+  ExpectRecordedChainReplaysExactly(
+      FaultyFusionConfig(DeliverySemantics::kAtMostOnce),
+      /*fuse_spout_edge=*/true, /*parallelism=*/2, /*want_fused_edges=*/0,
+      {FaultKind::kDropTuple, FaultKind::kDuplicateTuple,
+       FaultKind::kBoltThrow, FaultKind::kQueueStall});
 }
 
 // --------------------------------------------- breakpoints and stepping
