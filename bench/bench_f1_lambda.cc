@@ -262,6 +262,10 @@ struct MutexMergeBaseline {
   std::mutex mu;
 };
 
+/// Upper bound on a --quick frontend cell's run while it waits for its
+/// first result-cache hit.
+constexpr double kQuickHitCapSeconds = 5.0;
+
 /// One matrix cell: `readers` query threads (spread over `tenants` tenant
 /// ids) against one pipeline with a full-rate ingest thread, for
 /// `duration_s`. mode == "frontend" goes through QueryFrontend; "mutex"
@@ -352,6 +356,18 @@ ServingCell RunServingCell(const char* mode, int readers, int tenants,
   }
 
   std::this_thread::sleep_for(std::chrono::duration<double>(duration_s));
+  if (quick && use_frontend) {
+    // A --quick cell is short enough that a slow (sanitized) build can end
+    // it before any query hits the result cache, which the serving check
+    // requires of some frontend cell: keep querying until one hit lands,
+    // for at most kQuickHitCapSeconds.
+    const auto cap =
+        start + std::chrono::duration<double>(kQuickHitCapSeconds);
+    while (frontend.Stats().cache_hits == 0 &&
+           std::chrono::steady_clock::now() < cap) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
   stop.store(true, std::memory_order_release);
   for (std::thread& t : threads) t.join();
   ingest.join();

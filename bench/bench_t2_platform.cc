@@ -1456,7 +1456,7 @@ bool RunFusionMatrix(bool quick, std::vector<FusionCell>* cells_out,
       sketch_identical ? "byte-identical" : "DIVERGED");
   Row("paper-shape check (Section 3, operator chains): collapsing a");
   Row("linear chain into one thread removes the queue handoff and the");
-  Row("per-hop ack edge; shapes that need routing (fields, fan-out to");
+  Row("per-hop acker traffic; shapes that need routing (fields, fan-out to");
   Row("shards) keep queued edges and show ~1x — fusion helps pipelines,");
   Row("not shuffles-to-many.");
 

@@ -87,7 +87,10 @@ struct TopologyEngine::AckerEvent {
 /// Bolt tasks own exactly one input channel: a lock-free SPSC ring when the
 /// task has a single producer task in dedicated mode (the common
 /// spout→bolt pipeline edge), otherwise the mutex-based MPMC BlockingQueue.
-/// The In* helpers dispatch to whichever is present.
+/// The In* helpers dispatch to whichever is present. A fused consumer
+/// (some task's `fused_next`) has neither and no thread of its own: its
+/// bolt runs inline on its producer's thread, so all its state keeps the
+/// one-consulting-thread invariant.
 struct TopologyEngine::Task : StageTask {
   std::unique_ptr<BlockingQueue<Message>> queue;  // Bolts, multi-producer.
   std::unique_ptr<SpscRing<Message>> ring;        // Bolts, single-producer.
@@ -100,14 +103,7 @@ struct TopologyEngine::Task : StageTask {
   std::vector<uint64_t> held_tags;  // held[i] belongs to epoch held_tags[i].
   uint64_t last_snapshot_epoch = 0;  // Frame a crash-restart restores from.
 
-  // Fused-chain wiring (DESIGN.md §13). On a chain head: the downstream
-  // stage tasks in chain order (stage s of tuple routing = fused_stages[s]).
-  // A follower has no input channel and no thread of its own — its bolt
-  // runs inline on the head's thread, so all its state keeps the
-  // one-consulting-thread invariant.
-  std::vector<Task*> fused_stages;
-  bool fused_follower = false;
-
+  bool HasInput() const { return ring != nullptr || queue != nullptr; }
   size_t InPushAll(std::span<Message> b) {
     return ring ? ring->PushAll(b) : queue->PushAll(b);
   }
@@ -144,9 +140,14 @@ struct TopologyEngine::Task : StageTask {
   bool InClosed() const { return ring ? ring->Closed() : queue->Closed(); }
 };
 
+TopologyEngine::Task* TopologyEngine::TaskOf(StageTask* task) {
+  return static_cast<Task*>(task);
+}
+
 /// Engine-side OutputCollector for one task: anchors, stages each routed
-/// copy for its target (the wire of StageGraph::Send), applies
-/// backpressure, and stages the task's acker traffic (its AckSink).
+/// copy for its target or runs its fused consumer inline (the wire of
+/// StageGraph::Send and SendTo), applies backpressure, and stages the
+/// task's acker traffic (its AckSink).
 ///
 /// Emissions do not hit downstream queues directly: they accumulate in
 /// per-target staging buffers and flush as one batch push when a buffer
@@ -159,21 +160,22 @@ class TopologyEngine::TaskCollector : public StageCollector,
                                       public AckSink {
  public:
   /// Builds one staging slot per distinct downstream task this task can
-  /// reach through a queued edge.
+  /// reach through a queued edge (none for a fused producer, whose one
+  /// edge runs its consumer inline).
   TaskCollector(TopologyEngine* engine, Task* task)
       : engine_(engine),
         task_(task),
         batch_size_(std::max<size_t>(1, engine->config_.emit_batch_size)) {
     slot_of_task_.assign(engine_->tasks_.size(), -1);
+    if (task_->fused_next != nullptr) return;
     for (const StageEdge& edge :
          engine_->graph_.outgoing(task_->component_index)) {
-      if (edge.fused) continue;  // Fused hops bypass staging entirely.
       for (StageTask* target : edge.targets) {
         if (slot_of_task_[target->global_index] < 0) {
           slot_of_task_[target->global_index] =
               static_cast<int32_t>(slots_.size());
           slots_.emplace_back();
-          slots_.back().target = engine_->tasks_[target->global_index].get();
+          slots_.back().target = TaskOf(target);
           slots_.back().buffer.reserve(batch_size_);
         }
       }
@@ -188,9 +190,9 @@ class TopologyEngine::TaskCollector : public StageCollector,
 
   void Emit(Tuple tuple) override {
     const bool from_spout = task_->spout != nullptr;
-    Message context;
-    context.root_id = root_;
-    context.emit_time_nanos = emit_time_;
+    Message message;
+    message.root_id = root_;
+    message.emit_time_nanos = emit_time_;
     if (from_spout) {
       // Flight recorder tap: capture the emission before routing consumes
       // (moves) the tuple. Everything downstream is deterministic given
@@ -203,7 +205,7 @@ class TopologyEngine::TaskCollector : public StageCollector,
       // reading the clock per tuple; executors sample exactly the stamped
       // tuples (and their descendants, which inherit the stamp).
       const uint32_t every = engine_->config_.latency_sample_every;
-      context.emit_time_nanos =
+      message.emit_time_nanos =
           every > 0 && total_emitted_ % every == 0 ? engine_->NowNanos() : 0;
       // Trace sampling rides the same counter: every Kth root becomes a
       // span tree, rooted at a span recorded right here.
@@ -220,64 +222,55 @@ class TopologyEngine::TaskCollector : public StageCollector,
         span_ = 0;
       }
       if (TracksTuples(engine_->config_.semantics)) {
-        context.root_id =
+        message.root_id =
             engine_->next_root_id_.fetch_add(1, std::memory_order_relaxed);
         engine_->inflight_roots_.fetch_add(1, std::memory_order_relaxed);
-        last_spout_root_ = context.root_id;
+        last_spout_root_ = message.root_id;
       }
     }
-    context.trace_id = trace_id_;
-    context.trace_parent_span = span_;
+    message.trace_id = trace_id_;
+    message.trace_parent_span = span_;
+    message.tuple = std::move(tuple);
 
-    // A fused chain head runs every downstream stage inline on this thread
-    // instead of routing into queues; the chain's XOR collects poison ids
-    // for failed hops — 0 when everything succeeded, which under tracking
-    // makes the root's ledger resolve immediately (the same eventual
-    // outcome the queued path reaches after its ack round-trips).
-    uint64_t edge_xor = 0;
-    if (!task_->fused_stages.empty()) {
-      context.tuple = std::move(tuple);
-      engine_->DeliverFusedHop(task_, 0, context, &edge_xor);
-    } else {
-      edge_xor = engine_->graph_.Send(task_, std::move(tuple), context, this);
-    }
+    // A fused producer hands its one consumer the delivery directly (no
+    // routing); Deliver runs it inline and returns its ack into edge_xor.
+    const uint64_t root = message.root_id;
+    const uint64_t edge_xor =
+        task_->fused_next != nullptr
+            ? engine_->graph_.SendTo(task_, task_->fused_next,
+                                     std::move(message), this)
+            : engine_->graph_.Send(task_, std::move(message), this);
     total_emitted_++;
     unflushed_emits_++;
 
-    if (from_spout && context.root_id != 0) {
+    if (from_spout && root != 0) {
       // Register the root with its initial ledger value.
-      acker_staging_.push_back(AckerEvent{AckerEvent::kInit, context.root_id,
-                                          edge_xor, task_->global_index});
-    } else if (context.root_id != 0) {
+      acker_staging_.push_back(
+          AckerEvent{AckerEvent::kInit, root, edge_xor, task_->global_index});
+    } else if (root != 0) {
       xor_out_ ^= edge_xor;
     }
   }
 
-  /// Stages the epoch-barrier marker to every downstream task and flushes
-  /// immediately: per-slot FIFO puts the marker after every already-staged
-  /// tuple of its epoch, and prompt flushing keeps downstream alignment
-  /// latency off the data's critical path. Barrier faults (drop/delay)
-  /// inject here, one decision per (barrier, target).
+  /// Stages the epoch-barrier marker to every queued downstream task and
+  /// flushes immediately: per-slot FIFO puts the marker after every
+  /// already-staged tuple of its epoch, and prompt flushing keeps
+  /// downstream alignment latency off the data's critical path. A fused
+  /// consumer has already run every tuple of the epoch, and its one
+  /// producer is this task, so it aligns at once and cuts the epoch inline
+  /// (this task's barriers only ever increase). Barrier faults
+  /// (drop/delay) inject here, one decision per (barrier, target).
   void EmitBarrier(uint64_t epoch) {
-    FaultSite* faults = task_->barrier_faults.get();
     for (StagingSlot& slot : slots_) {
-      if (faults != nullptr) {
-        const uint32_t delay_us = faults->BarrierDelayMicros();
-        if (delay_us > 0) {
-          std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
-        }
-        if (faults->FireBarrierDrop()) {
-          // Marker lost toward this one target: its alignment on `epoch`
-          // starves until the timeout force-advances past it. The staged
-          // data still flows.
-          FlushSlot(slot);
-          continue;
-        }
+      if (BarrierArrives()) {
+        Message& message = slot.buffer.emplace_back();
+        message.tuple = Tuple::Barrier(epoch);
+        message.producer_task = static_cast<uint32_t>(task_->global_index);
       }
-      Message& message = slot.buffer.emplace_back();
-      message.tuple = Tuple::Barrier(epoch);
-      message.producer_task = static_cast<uint32_t>(task_->global_index);
       FlushSlot(slot);
+    }
+    if (task_->fused_next != nullptr && BarrierArrives()) {
+      engine_->CutEpoch(TaskOf(task_->fused_next), epoch);
     }
   }
 
@@ -286,27 +279,42 @@ class TopologyEngine::TaskCollector : public StageCollector,
     acker_staging_.push_back(AckerEvent{AckerEvent::kUpdate, root, value, 0});
   }
 
-  /// Send's wire: stages one arriving copy for `target`, flushing the slot
-  /// when it reaches the batch size.
-  void Deliver(StageTask* target, Message&& message) {
+  /// The wire of Send and SendTo. A routed copy is staged for `target`,
+  /// flushing the slot when it reaches the batch size. The fused consumer
+  /// runs inline instead, and its ack comes back for this task's edge XOR.
+  uint64_t Deliver(StageTask* target, Message&& message) {
+    if (target == task_->fused_next) {
+      return engine_->ExecuteFused(TaskOf(target), message);
+    }
     StagingSlot& slot = slots_[slot_of_task_[target->global_index]];
     slot.buffer.push_back(std::move(message));
     if (slot.buffer.size() >= batch_size_) FlushSlot(slot);
+    return 0;
   }
 
-  /// Flushes every staging buffer, the emitted-counter delta, and staged
-  /// acker events. Must run before the owning thread blocks on anything a
+  /// A fused hop executed this task inline; the count is published with
+  /// the next flush, like emissions.
+  void CountFusedExecute() { unflushed_executed_++; }
+
+  /// Flushes every staging buffer, the emitted- and executed-counter
+  /// deltas, and staged acker events. Must run before the owning thread blocks on anything a
   /// staged tuple could be needed to unblock (execute-batch end, spout
   /// throttle wait, shutdown).
   void FlushAll() {
-    // A chain head flushes its followers first: a fused tail may have
-    // staged tuples toward queued edges past the chain (and kUpdate acker
-    // events), and those obey the same flush-before-blocking contract.
-    for (Task* follower : task_->fused_stages) follower->collector->FlushAll();
+    // A fused consumer's collector flushes first: it may have staged tuples
+    // toward queued edges further down, and those obey the same
+    // flush-before-blocking contract.
+    if (task_->fused_next != nullptr) {
+      TaskOf(task_->fused_next)->collector->FlushAll();
+    }
     for (StagingSlot& slot : slots_) FlushSlot(slot);
     if (unflushed_emits_ > 0) {
       task_->metrics->IncEmitted(unflushed_emits_);
       unflushed_emits_ = 0;
+    }
+    if (unflushed_executed_ > 0) {
+      task_->metrics->IncExecuted(unflushed_executed_);
+      unflushed_executed_ = 0;
     }
     if (!acker_staging_.empty()) {
       engine_->acker_queue_->PushAll(std::span<AckerEvent>(acker_staging_));
@@ -319,6 +327,21 @@ class TopologyEngine::TaskCollector : public StageCollector,
     Task* target = nullptr;
     std::vector<Message> buffer;
   };
+
+  /// One (barrier, target) fault decision: the drawn delay (slept here),
+  /// then whether the marker reaches that target. A lost marker starves a
+  /// queued target's alignment on the epoch until the timeout
+  /// force-advances past it (the data still flows); a fused target skips
+  /// the epoch.
+  bool BarrierArrives() {
+    FaultSite* faults = task_->barrier_faults.get();
+    if (faults == nullptr) return true;
+    const uint32_t delay_us = faults->BarrierDelayMicros();
+    if (delay_us > 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
+    }
+    return !faults->FireBarrierDrop();
+  }
 
   /// Pushes one slot's staged messages downstream as a batch. Fast path is
   /// a single non-blocking batch push; on a full queue the producer either
@@ -363,6 +386,7 @@ class TopologyEngine::TaskCollector : public StageCollector,
   std::vector<AckerEvent> acker_staging_;
   uint64_t total_emitted_ = 0;
   uint64_t unflushed_emits_ = 0;
+  uint64_t unflushed_executed_ = 0;
   uint64_t last_spout_root_ = 0;
 };
 
@@ -381,35 +405,19 @@ void TopologyEngine::BuildTasks() {
     tasks_.push_back(std::make_unique<Task>());
     return tasks_.back().get();
   });
-  const auto& components = topology_.components();
-  std::vector<std::vector<Task*>> tasks_by_component(components.size());
-  for (auto& task : tasks_) {
-    tasks_by_component[task->component_index].push_back(task.get());
-  }
-
-  // Wire each fused chain (DESIGN.md §13): the chain head keeps its thread
-  // and runs every downstream stage inline (DeliverFusedHop); followers
-  // lose their input channel and thread — their bolts run on the head's
-  // thread, paired task i with task i (rule 6 guarantees equal
-  // parallelism on every fused edge).
-  fused_edges_ = graph_.plan()->fused_edge_count();
-  for (const std::vector<size_t>& chain : graph_.plan()->chains()) {
-    for (Task* head : tasks_by_component[chain[0]]) {
-      for (size_t s = 1; s < chain.size(); s++) {
-        Task* follower = tasks_by_component[chain[s]][head->task_index];
-        follower->fused_follower = true;
-        head->fused_stages.push_back(follower);
-      }
-    }
-  }
-
   // Input channels: a bolt task whose input has exactly one producer task
   // gets the lock-free SPSC ring (dedicated mode only — both endpoints are
   // single threads there); everything else gets the MPMC blocking queue.
-  // Fused followers have no input channel at all: their tuples arrive as
-  // inline calls on the chain head's thread.
+  // Fused consumers have no input channel at all: their tuples arrive as
+  // inline calls on their producer's thread.
+  std::vector<bool> fused_consumer(tasks_.size(), false);
   for (auto& task : tasks_) {
-    if (task->bolt == nullptr || task->fused_follower) continue;
+    if (task->fused_next != nullptr) {
+      fused_consumer[task->fused_next->global_index] = true;
+    }
+  }
+  for (auto& task : tasks_) {
+    if (task->bolt == nullptr || fused_consumer[task->global_index]) continue;
     const uint64_t producers = graph_.producer_tasks(task->component_index);
     if (config_.enable_spsc && config_.mode == ExecutionMode::kDedicated &&
         producers == 1) {
@@ -448,7 +456,7 @@ void TopologyEngine::StartSampler() {
   for (auto& task : tasks_) {
     MetricsSampler::Probe probe;
     probe.metrics = task->metrics;
-    if (task->bolt != nullptr && !task->fused_follower) {
+    if (task->HasInput()) {
       Task* t = task.get();
       probe.queue_depth = [t] { return t->InApproxSize(); };
     }
@@ -480,8 +488,8 @@ void TopologyEngine::DrainTraces() {
 }
 
 /// Opens or prepares `task` on the calling thread and restores it from the
-/// resume epoch, then does the same for its fused followers: they have no
-/// thread of their own, and their bolts run inline on this one.
+/// resume epoch, then does the same for its fused consumer: that has no
+/// thread of its own, and its bolt runs inline on this one.
 void TopologyEngine::PrepareOnThread(Task* task) {
   const uint32_t parallelism =
       topology_.components()[task->component_index].parallelism;
@@ -490,8 +498,9 @@ void TopologyEngine::PrepareOnThread(Task* task) {
   } else {
     task->bolt->Prepare(task->task_index, parallelism);
   }
-  RestoreTaskState(task);
-  for (Task* follower : task->fused_stages) PrepareOnThread(follower);
+  task->last_snapshot_epoch = config_.resume_from_epoch;
+  RestoreEpochFrame(task);
+  if (task->fused_next != nullptr) PrepareOnThread(TaskOf(task->fused_next));
 }
 
 void TopologyEngine::SpoutLoop(Task* task) {
@@ -619,87 +628,23 @@ void TopologyEngine::FinishPending(size_t n) {
   }
 }
 
-namespace {
-
-/// A fused chain's AckSink. Delivered fused hops allocate no edge ids — the
-/// inline call both "delivers" and "acks", a net ledger zero — so a hop's
-/// ack folds straight into the chain's XOR, and any failure (drop, throw,
-/// crash, lost ack) poisons it with a fresh id no execution will clear:
-/// under tracking the root then fails by ack timeout exactly like its
-/// queued counterpart.
-class ChainAcks : public AckSink {
- public:
-  ChainAcks(StageGraph* graph, uint64_t* chain_xor)
-      : graph_(graph), chain_xor_(chain_xor) {}
-  void Ack(uint64_t, uint64_t value) override { *chain_xor_ ^= value; }
-  void Fail(uint64_t) override { *chain_xor_ ^= graph_->NextEdgeId(); }
-
- private:
-  StageGraph* graph_;
-  uint64_t* chain_xor_;
-};
-
-}  // namespace
-
-/// Collector for a non-tail fused stage: every Emit becomes the next hop
-/// of the chain, executed inline (stack recursion instead of a queue).
-/// Failures downstream poison the chain directly, so End() stays 0.
-class TopologyEngine::FusedStageCollector : public StageCollector {
- public:
-  FusedStageCollector(TopologyEngine* engine, Task* head, size_t next_stage,
-                      uint64_t* chain_xor)
-      : engine_(engine),
-        head_(head),
-        next_stage_(next_stage),
-        chain_xor_(chain_xor) {}
-
-  void Emit(Tuple tuple) override {
-    head_->fused_stages[next_stage_ - 1]->metrics->IncEmitted();
-    Message message;
-    message.tuple = std::move(tuple);
-    message.root_id = root_;
-    message.emit_time_nanos = emit_time_;
-    message.trace_id = trace_id_;
-    message.trace_parent_span = span_;
-    engine_->DeliverFusedHop(head_, next_stage_, message, chain_xor_);
-  }
-
- private:
-  TopologyEngine* engine_;
-  Task* head_;
-  const size_t next_stage_;
-  uint64_t* chain_xor_;
-};
-
-/// One fused hop: the producer's transport draws, then the stage runner on
-/// the consumer — the same code, and so the same per-site draws, as a
-/// queued delivery. A crash restarts the stage bolt in place (the head's
+/// A fused hop's consumer side: the stage runner on the producer's thread,
+/// the same code as a queued delivery and so the same per-site draws. The
+/// hop's ack returns to the producer's edge XOR instead of the acker: a
+/// success clears the edge id SendTo allocated, a failure (throw, crash,
+/// lost ack) leaves it there, as a queued hop leaves its own in the
+/// acker's ledger. A crash restarts the bolt in place (the producer's
 /// thread IS this "process"; later tuples meet the fresh instance).
-void TopologyEngine::DeliverFusedHop(Task* head, size_t stage,
-                                     Message& message, uint64_t* chain_xor) {
-  Task* producer = stage == 0 ? head : head->fused_stages[stage - 1];
-  Task* task = head->fused_stages[stage];
-  ChainAcks acks(&graph_, chain_xor);
-  const int copies = graph_.DrawTransport(producer);
-  if (copies == 0) {
-    if (message.root_id != 0) acks.Fail(message.root_id);
-    return;
-  }
-  message.producer_task = static_cast<uint32_t>(producer->global_index);
-  if (message.trace_id != 0) message.trace_enqueue_nanos = NowNanos();
-  // The tail may feed queued edges past the chain: its own TaskCollector
-  // stages those, and their edge ids reach the chain through its ack.
-  FusedStageCollector next(this, head, stage + 1, chain_xor);
-  StageCollector* out = stage + 1 < head->fused_stages.size()
-                            ? static_cast<StageCollector*>(&next)
-                            : task->collector.get();
-  // A duplicate executes the stage twice — the duplication at-least-once
-  // permits.
-  for (int copy = 0; copy < copies; copy++) {
-    const StageOutcome outcome = graph_.Run(task, message, out, &acks);
-    if (outcome != StageOutcome::kFailed) task->metrics->IncExecuted();
-    if (outcome == StageOutcome::kCrashed) RestartBolt(task);
-  }
+uint64_t TopologyEngine::ExecuteFused(Task* task, const Message& message) {
+  struct : AckSink {
+    uint64_t value = 0;
+    void Ack(uint64_t, uint64_t v) override { value ^= v; }
+  } acks;
+  const StageOutcome outcome =
+      graph_.Run(task, message, task->collector.get(), &acks);
+  if (outcome != StageOutcome::kFailed) task->collector->CountFusedExecute();
+  if (outcome == StageOutcome::kCrashed) RestartBolt(task);
+  return acks.value;
 }
 
 /// The fused batch path: one dispatch, one ack-staging pass for the whole
@@ -888,14 +833,13 @@ void TopologyEngine::CutEpoch(Task* task, uint64_t epoch) {
   task->collector->EmitBarrier(epoch);
 }
 
-/// Resume path: rehydrate this task from its frame at resume_from_epoch
-/// (a complete epoch — Run() checked the marker). Runs on the task's own
-/// thread after Open/Prepare, before any traffic. Tasks without a frame
-/// were stateless at snapshot time and start fresh.
-void TopologyEngine::RestoreTaskState(Task* task) {
-  if (config_.resume_from_epoch == 0) return;
-  const uint64_t epoch = config_.resume_from_epoch;
-  task->last_snapshot_epoch = epoch;
+/// Rehydrates `task` from its frame at `last_snapshot_epoch` (no-op at 0):
+/// on resume, the complete epoch Run() checked the marker of, before any
+/// traffic; after a crash-restart, the task's own last cut. Tasks without
+/// a frame were stateless at snapshot time and start fresh.
+void TopologyEngine::RestoreEpochFrame(Task* task) {
+  const uint64_t epoch = task->last_snapshot_epoch;
+  if (epoch == 0) return;
   const std::string key = EpochTaskKey(
       epoch, topology_.components()[task->component_index].name,
       task->task_index);
@@ -933,17 +877,7 @@ void TopologyEngine::RestartBolt(Task* task) {
   // the snapshot may ever be marked complete in this run; the resumable
   // point stays at the last epoch whose frames are known whole.
   coordinator_->FenceEpochsAfter(task->last_snapshot_epoch);
-  if (task->last_snapshot_epoch == 0) return;
-  const std::string key = EpochTaskKey(
-      task->last_snapshot_epoch,
-      topology_.components()[task->component_index].name, task->task_index);
-  Result<std::vector<uint8_t>> frame = config_.checkpoint_store->Fetch(key);
-  if (!frame.ok()) return;  // Stateless at snapshot time: fresh start.
-  const Status restored =
-      task->bolt->RestoreEpoch(task->last_snapshot_epoch, frame.value());
-  STREAMLIB_CHECK_MSG(
-      restored.ok(), "crash-restart restore failed for %s: %s", key.c_str(),
-      restored.ToString().c_str());
+  RestoreEpochFrame(task);
 }
 
 void TopologyEngine::DedicatedBoltLoop(Task* task) {
@@ -1124,14 +1058,12 @@ void TopologyEngine::Run() {
     acker_thread_ = std::thread([this] { AckerLoop(); });
   }
 
-  // Bolt executors. Fused followers get no thread (and have no input
-  // channel to drain or close) — they execute inline on their chain
-  // head's thread.
+  // Bolt executors. Fused consumers get no thread (and have no input
+  // channel to drain or close) — they execute inline on their producer's
+  // thread.
   std::vector<Task*> bolt_tasks;
   for (const auto& task : tasks_) {
-    if (task->bolt != nullptr && !task->fused_follower) {
-      bolt_tasks.push_back(task.get());
-    }
+    if (task->HasInput()) bolt_tasks.push_back(task.get());
   }
   if (config_.mode == ExecutionMode::kDedicated) {
     for (Task* task : bolt_tasks) {
@@ -1200,21 +1132,8 @@ void TopologyEngine::Run() {
   // verified against the original from the file alone. The caller still
   // owns Finalize().
   if (config_.recorder != nullptr) {
-    RunSummary summary;
-    summary.completed_roots =
-        completed_roots_.load(std::memory_order_relaxed);
-    summary.failed_roots = failed_roots_.load(std::memory_order_relaxed);
-    if (graph_.fault_plan() != nullptr) {
-      summary.faults_by_kind = graph_.fault_plan()->Snapshot();
-    }
-    summary.tasks.reserve(metrics_.task_count());
-    for (size_t i = 0; i < metrics_.task_count(); i++) {
-      const TaskMetrics& m = metrics_.task(i);
-      summary.tasks.push_back(RunSummary::TaskCounters{
-          m.emitted(), m.executed(), m.acked(), m.failed(),
-          m.bolt_exceptions()});
-    }
-    config_.recorder->SetSummary(summary);
+    config_.recorder->SetSummary(SummarizeRun(
+        completed_roots(), failed_roots(), graph_.fault_plan(), metrics_));
   }
 }
 

@@ -126,9 +126,9 @@ struct EngineConfig {
   /// before pumping data, and number new epochs from here. 0 = fresh run.
   uint64_t resume_from_epoch = 0;
   /// Fused-operator compilation (DESIGN.md §13): lower the topology to a
-  /// dataflow IR, collapse eligible spout→bolt→bolt chains into in-thread
-  /// fused operators (no queue, no per-hop ack traffic), and fall back to
-  /// queued edges wherever the legality rules demand it. Off by default:
+  /// dataflow IR, run every eligible edge's consumer inline on its
+  /// producer's thread (no queue, no per-hop acker traffic), and fall back
+  /// to queued edges wherever the legality rules demand it. Off by default:
   /// fusion removes queues, which changes the observable transport shape
   /// (spsc_edges(), queue-depth gauges) existing callers rely on.
   bool enable_fusion = false;
@@ -183,7 +183,7 @@ class TopologyEngine {
 
   /// Edges realized as in-thread fused hops instead of queues (after
   /// Run()). 0 whenever enable_fusion is false or nothing was eligible.
-  size_t fused_edges() const { return fused_edges_; }
+  size_t fused_edges() const { return plan()->fused_edge_count(); }
 
   /// Injected-fault counters for this run; null when config.faults is
   /// disabled. Valid from Run() start (tests read it after Run returns).
@@ -202,7 +202,6 @@ class TopologyEngine {
  private:
   struct Task;
   class TaskCollector;
-  class FusedStageCollector;
   struct AckerEvent;
 
   void BuildTasks();
@@ -214,6 +213,9 @@ class TopologyEngine {
   void MultiplexedWorkerLoop(const std::vector<Task*>& tasks);
   void AckerLoop();
   void RestartBolt(Task* task);
+  /// The engine's Task behind a StageTask pointer (a route target, a
+  /// `fused_next` link): BuildTasks allocates every task as a Task.
+  static Task* TaskOf(StageTask* task);
 
   /// Injected time source (config.clock or the steady default).
   uint64_t NowNanos() const;
@@ -225,14 +227,9 @@ class TopologyEngine {
   bool ExecuteQueued(Task* task, const Message& message, size_t* executed);
   void ExecuteBatchFused(Task* task, std::span<Message> batch);
   void FinishPending(size_t n);
-
-  // Fused-chain execution (DESIGN.md §13): delivers `message` to stage
-  // `stage` of `head`'s chain inline on the calling thread, recursing down
-  // the chain; failed hops XOR poison ids into `chain_xor` (0 = the whole
-  // chain succeeded — kInit with ledger 0 resolves immediately, matching
-  // the queued eventual outcome).
-  void DeliverFusedHop(Task* head, size_t stage, Message& message,
-                       uint64_t* chain_xor);
+  // A fused hop's consumer side (DESIGN.md §13): runs `task` inline on the
+  // producer's thread and returns its ack for the producer's edge XOR.
+  uint64_t ExecuteFused(Task* task, const Message& message);
 
   // Epoch-barrier plumbing (all no-ops unless epoch_interval_tuples > 0).
   void HandleBarrier(Task* task, uint32_t producer, uint64_t epoch,
@@ -242,7 +239,7 @@ class TopologyEngine {
   void FlushHeld(Task* task);
   void MaybeEpochTimeout(Task* task);
   void CutEpoch(Task* task, uint64_t epoch);
-  void RestoreTaskState(Task* task);
+  void RestoreEpochFrame(Task* task);
 
   Topology topology_;
   EngineConfig config_;
@@ -258,7 +255,6 @@ class TopologyEngine {
   StageGraph graph_;
   std::vector<std::unique_ptr<Task>> tasks_;
   size_t spsc_edges_ = 0;
-  size_t fused_edges_ = 0;
 
   std::atomic<uint64_t> pending_messages_{0};
   std::atomic<uint64_t> next_root_id_{1};

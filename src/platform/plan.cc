@@ -47,24 +47,18 @@ Status TopologyPlan::FusionLegality(const PlanNode& from, const PlanNode& to,
     return Status::FailedPrecondition(
         "multiplexed execution: fused stages need a dedicated thread");
   }
-  // Rule 3: epoch barriers align per queued edge (EpochAligner counts
-  // producer arrivals); a fused edge has no barrier hop to align on.
-  if (options.epochs_enabled) {
-    return Status::FailedPrecondition(
-        "epoch barriers align on queued edges");
-  }
-  // Rule 4: fields grouping exists to partition keys across consumer
+  // Rule 3: fields grouping exists to partition keys across consumer
   // tasks; collapsing it in-thread would silently break stateful sharding.
   if (edge.grouping.kind == GroupingKind::kFields) {
     return Status::InvalidArgument(
         "fields grouping requires hash routing across shards");
   }
-  // Rule 5: broadcast needs one copy per consumer task — inherently a
+  // Rule 4: broadcast needs one copy per consumer task — inherently a
   // fan-out delivery, never a 1:1 inline call.
   if (edge.grouping.kind == GroupingKind::kBroadcast) {
     return Status::InvalidArgument("broadcast fans out to every shard");
   }
-  // Rule 6: parallelism compatibility. A fused shuffle pairs producer
+  // Rule 5: parallelism compatibility. A fused shuffle pairs producer
   // task i with consumer task i — a legal refinement of "uniform random
   // task" — which needs equal parallelism. Global demands one consumer
   // task fed by everything, so fusing needs a single producer task too.
@@ -74,28 +68,19 @@ Status TopologyPlan::FusionLegality(const PlanNode& from, const PlanNode& to,
                                    std::to_string(from.parallelism) + " vs " +
                                    std::to_string(to.parallelism) + ")");
   }
-  // The replayer cannot know the run fused (SLFR does not carry
-  // enable_fusion) and routes a recorded shuffle by its rng, which picks
-  // task i for producer task i only when there is one task.
-  if (edge.grouping.kind == GroupingKind::kShuffle && options.recording &&
-      from.parallelism != 1) {
-    return Status::FailedPrecondition(
-        "recorded shuffle fuses only at parallelism 1: replay routes it by "
-        "grouping");
-  }
   if (edge.grouping.kind == GroupingKind::kGlobal &&
       (from.parallelism != 1 || to.parallelism != 1)) {
     return Status::InvalidArgument(
         "global grouping fuses only at parallelism 1");
   }
-  // Rule 7: a consumer with several inputs merges streams from distinct
+  // Rule 6: a consumer with several inputs merges streams from distinct
   // producer threads — it must stay queued so all producers can reach it.
   if (to.in_edges.size() != 1) {
     return Status::InvalidArgument("fan-in: consumer has " +
                                    std::to_string(to.in_edges.size()) +
                                    " input edges");
   }
-  // Rule 8: a producer with several output subscriptions routes each emit
+  // Rule 7: a producer with several output subscriptions routes each emit
   // to every one of them; fusing one arm would starve the others.
   if (from.out_edges.size() != 1) {
     return Status::InvalidArgument("fan-out: producer has " +
@@ -116,12 +101,10 @@ void TopologyPlan::RunFusionPass(const FusionOptions& options) {
       edge.channel = EdgeChannel::kQueued;
       edge.veto = legality.message();
     }
-    edge.tracked = options.tracked;
-    edge.barriered = options.epochs_enabled;
   }
 
   // Group fused edges into maximal chains. A chain head is a node with a
-  // fused out-edge but no fused in-edge; rules 7/8 guarantee each node has
+  // fused out-edge but no fused in-edge; rules 6/7 guarantee each node has
   // at most one fused edge on each side, so chains are simple paths.
   chains_.clear();
   auto fused_out = [&](size_t node) -> const PlanEdge* {

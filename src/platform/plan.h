@@ -18,18 +18,11 @@ enum class EdgeChannel : uint8_t {
 
 /// The engine facts the fusion pass needs, decoupled from EngineConfig so
 /// the plan layer has no dependency on engine.h. StageGraph::Build fills
-/// this from the config (live and replayed runs alike); tests construct it
-/// directly.
+/// this from the config (live and replayed runs alike, since a recording
+/// carries enable_fusion); tests construct it directly.
 struct FusionOptions {
-  bool enable_fusion = false;     ///< master switch (EngineConfig::enable_fusion)
-  bool dedicated_mode = true;     ///< ExecutionMode::kDedicated (one thread/task)
-  bool tracked = false;           ///< delivery semantics track tuples (acking on)
-  bool epochs_enabled = false;    ///< barrier checkpointing active
-  /// A flight recorder is attached. A fused hop draws exactly what a
-  /// replayed delivery draws, but SLFR does not carry enable_fusion, so the
-  /// replayer routes every edge by its grouping: a recorded shuffle fuses
-  /// only where that picks the same task (rule 6, parallelism 1).
-  bool recording = false;
+  bool enable_fusion = false;  ///< master switch (EngineConfig::enable_fusion)
+  bool dedicated_mode = true;  ///< ExecutionMode::kDedicated (one thread/task)
 };
 
 /// One component of the topology, as a plan node. `component_index` equals
@@ -50,9 +43,7 @@ struct PlanEdge {
   size_t from = 0;  ///< producer node index
   size_t to = 0;    ///< consumer node index
   Grouping grouping;
-  uint32_t shards = 1;   ///< consumer parallelism (fan-out of the routing)
-  bool tracked = false;  ///< deliveries carry ack-ledger edge ids
-  bool barriered = false;  ///< epoch barriers flow across this edge
+  uint32_t shards = 1;  ///< consumer parallelism (fan-out of the routing)
   EdgeChannel channel = EdgeChannel::kQueued;
   /// Why the fusion pass left this edge queued (empty when fused or when
   /// the pass never ran). Surfaced in ToString() and the bench JSON so a
@@ -63,8 +54,9 @@ struct PlanEdge {
 /// A small dataflow IR over a built Topology: nodes for components, edges
 /// for subscriptions, annotated with grouping / delivery / shard facts.
 /// The fusion pass (DESIGN.md §13) rewrites eligible edges from kQueued to
-/// kFused and groups the resulting maximal fused paths into chains; the
-/// engine then materializes each chain as one in-thread fused operator.
+/// kFused and groups the resulting maximal fused paths into chains. The
+/// engine realizes each fused edge as an inline delivery: producer task i
+/// runs consumer task i on its own thread, with no queue in between.
 class TopologyPlan {
  public:
   /// Lowers a validated topology into the IR. All edges start kQueued.

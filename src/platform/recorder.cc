@@ -47,6 +47,7 @@ void EncodeConfig(ByteWriter& w, const EngineConfig& c) {
   w.PutVarint(c.execute_batch_size);
   w.PutU8(c.enable_spsc ? 1 : 0);
   w.PutU8(c.enable_bolt_batch ? 1 : 0);
+  w.PutU8(c.enable_fusion ? 1 : 0);
   w.PutVarint(c.telemetry_sample_interval_ms);
   w.PutVarint(c.trace_sample_every);
   const FaultSpec& f = c.faults;
@@ -68,6 +69,7 @@ Status DecodeConfig(ByteReader& r, EngineConfig* out) {
   uint8_t semantics = 0;
   uint8_t enable_spsc = 0;
   uint8_t enable_bolt_batch = 0;
+  uint8_t enable_fusion = 0;
   uint64_t v = 0;
   STREAMLIB_RETURN_NOT_OK(r.GetU8(&mode));
   if (mode > static_cast<uint8_t>(ExecutionMode::kMultiplexed)) {
@@ -97,6 +99,8 @@ Status DecodeConfig(ByteReader& r, EngineConfig* out) {
   out->enable_spsc = enable_spsc != 0;
   STREAMLIB_RETURN_NOT_OK(r.GetU8(&enable_bolt_batch));
   out->enable_bolt_batch = enable_bolt_batch != 0;
+  STREAMLIB_RETURN_NOT_OK(r.GetU8(&enable_fusion));
+  out->enable_fusion = enable_fusion != 0;
   STREAMLIB_RETURN_NOT_OK(r.GetVarint(&v));
   out->telemetry_sample_interval_ms = static_cast<uint32_t>(v);
   STREAMLIB_RETURN_NOT_OK(r.GetVarint(&v));
@@ -304,6 +308,23 @@ TopologyFingerprint FingerprintOf(const Topology& topology) {
     fp.components.push_back(std::move(c));
   }
   return fp;
+}
+
+RunSummary SummarizeRun(uint64_t completed_roots, uint64_t failed_roots,
+                        const FaultPlan* faults,
+                        const MetricsRegistry& metrics) {
+  RunSummary summary;
+  summary.completed_roots = completed_roots;
+  summary.failed_roots = failed_roots;
+  if (faults != nullptr) summary.faults_by_kind = faults->Snapshot();
+  summary.tasks.reserve(metrics.task_count());
+  for (size_t i = 0; i < metrics.task_count(); i++) {
+    const TaskMetrics& m = metrics.task(i);
+    summary.tasks.push_back(RunSummary::TaskCounters{
+        m.emitted(), m.executed(), m.acked(), m.failed(),
+        m.bolt_exceptions()});
+  }
+  return summary;
 }
 
 Status MatchesTopology(const TopologyFingerprint& fingerprint,

@@ -30,7 +30,7 @@ namespace streamlib::platform {
 /// deterministically; the debugger CLI (tools/streamlib_debug.cc) steps
 /// through it.
 ///
-/// ## SLFR file format (version 1)
+/// ## SLFR file format (version 2)
 ///
 ///   file   := header segment*
 ///   header := u32 magic 'SLFR' | u32 version
@@ -38,10 +38,11 @@ namespace streamlib::platform {
 ///
 /// Segment kinds: 1 = meta (exactly one, first), 2 = records (zero or
 /// more), 3 = end (exactly one, last). The meta payload serializes the
-/// EngineConfig + FaultSpec and a topology fingerprint (component names,
-/// spout/bolt, parallelism, subscriptions); the records payload is a
-/// varint count followed by varint-framed (spout_task, tuple) records;
-/// the end payload carries the total record count and an optional run
+/// EngineConfig (enable_fusion included since version 2, so the replayer
+/// builds the live fusion plan) + FaultSpec and a topology fingerprint
+/// (component names, spout/bolt, parallelism, subscriptions); the records
+/// payload is a varint count followed by varint-framed (spout_task, tuple)
+/// records; the end payload carries the total record count and an optional run
 /// summary (root/fault/task counters) so replay results can be verified
 /// against the original run from the file alone. Files are written to a
 /// `.tmp` sibling and renamed into place on Finalize, mirroring
@@ -51,7 +52,7 @@ namespace streamlib::platform {
 /// SketchBlob envelope discipline.
 
 inline constexpr uint32_t kRecordingMagic = 0x52464c53u;  // "SLFR"
-inline constexpr uint32_t kRecordingVersion = 1;
+inline constexpr uint32_t kRecordingVersion = 2;
 
 /// Tuple wire codec shared by the recorder and replayer. One record is
 /// varint field-count then per field a u8 type tag (0 = null, 1 = bool,
@@ -104,6 +105,14 @@ struct RunSummary {
   std::vector<TaskCounters> tasks;  // Global task-index order.
 };
 
+/// The one RunSummary builder, shared by the engine (attaching a run's
+/// final counters to its recording) and the replayer: the root counters,
+/// the per-kind fault counts (all 0 when `faults` is null) and every
+/// task's counters in global task-index order.
+RunSummary SummarizeRun(uint64_t completed_roots, uint64_t failed_roots,
+                        const FaultPlan* faults,
+                        const MetricsRegistry& metrics);
+
 /// One spout emission as recorded: which spout task produced it, and the
 /// tuple's field values (routing metadata is reconstructed by replay).
 struct RecordedEmission {
@@ -122,8 +131,9 @@ struct RecordedRun {
 
 /// Parses an SLFR file. Typed errors: NotFound (missing file), Corruption
 /// (bad magic, truncated segment, CRC mismatch, record-count mismatch,
-/// missing end segment, trailing bytes), InvalidArgument (unsupported
-/// version).
+/// missing end segment, trailing bytes), InvalidArgument (any version but
+/// kRecordingVersion — a version 1 file, which predates enable_fusion,
+/// included).
 Result<RecordedRun> ReadRecording(const std::string& path);
 
 /// Captures a run to disk. Create() writes the header + meta segment to

@@ -17,7 +17,8 @@ struct ReplayEngine::Delivery {
 /// The replayer's collector for one task. Routing, transport draws and edge
 /// ids come from StageGraph::Send like the live engine's; what differs is
 /// where things land: arriving copies join the replayer's FIFO (Send's wire),
-/// roots open and acks fold into the synchronous ledger (its AckSink).
+/// a fused edge's copy included (Route sends task i to task i), and roots
+/// open and acks fold into the synchronous ledger (its AckSink).
 class ReplayEngine::ReplayCollector : public StageCollector,
                                       public AckSink {
  public:
@@ -28,24 +29,27 @@ class ReplayEngine::ReplayCollector : public StageCollector,
 
   void Emit(Tuple tuple) override {
     const bool from_spout = task_->bolt == nullptr;
-    Message context;
-    context.root_id = root_;
+    Message message;
+    message.tuple = std::move(tuple);
+    message.root_id = root_;
     if (from_spout && TracksTuples(engine_->run_.config.semantics)) {
-      context.root_id = engine_->next_root_id_++;
-      last_spout_root_ = context.root_id;
+      message.root_id = engine_->next_root_id_++;
+      last_spout_root_ = message.root_id;
     }
+    const uint64_t root = message.root_id;
     const uint64_t edge_xor =
-        engine_->graph_.Send(task_, std::move(tuple), context, this);
+        engine_->graph_.Send(task_, std::move(message), this);
     task_->metrics->IncEmitted();
-    if (from_spout && context.root_id != 0) {
-      engine_->InitRoot(context.root_id, edge_xor, task_->global_index);
-    } else if (context.root_id != 0) {
+    if (from_spout && root != 0) {
+      engine_->InitRoot(root, edge_xor, task_->global_index);
+    } else if (root != 0) {
       xor_out_ ^= edge_xor;
     }
   }
 
-  void Deliver(StageTask* target, Message&& message) {
+  uint64_t Deliver(StageTask* target, Message&& message) {
     engine_->work_.push_back(Delivery{target, std::move(message)});
+    return 0;
   }
 
   void Ack(uint64_t root, uint64_t value) override {
@@ -295,20 +299,7 @@ Result<std::vector<uint8_t>> ReplayEngine::BoltStateBlob(
 }
 
 RunSummary ReplayEngine::Summary() const {
-  RunSummary summary;
-  summary.completed_roots = completed_roots_;
-  summary.failed_roots = failed_roots_;
-  if (fault_plan() != nullptr) {
-    summary.faults_by_kind = fault_plan()->Snapshot();
-  }
-  summary.tasks.reserve(metrics_.task_count());
-  for (size_t i = 0; i < metrics_.task_count(); i++) {
-    const TaskMetrics& m = metrics_.task(i);
-    summary.tasks.push_back(RunSummary::TaskCounters{
-        m.emitted(), m.executed(), m.acked(), m.failed(),
-        m.bolt_exceptions()});
-  }
-  return summary;
+  return SummarizeRun(completed_roots_, failed_roots_, fault_plan(), metrics_);
 }
 
 Status ReplayEngine::CompareWithRecorded() const {

@@ -27,20 +27,21 @@ namespace streamlib::platform {
 /// breakpoints, stepping): task and fault-site construction, routing,
 /// transport draws, edge ids, the stage runner and the finish pass are the
 /// live engine's own code (StageGraph, stage.h), so every site is consulted
-/// in the live per-site order by construction. A fused hop runs the same
-/// runner and so draws what its replayed delivery draws; but SLFR does not
-/// carry enable_fusion, so the replayer fuses nothing and routes every edge
-/// by its grouping. A recorded run therefore fuses only edges where that
-/// picks the task the fused hop picks: shuffle and global at parallelism 1
-/// (fusion rule 6). Between any two tuples the debugger can pause, inspect
-/// bolt state (Bolt::StateBlob) and live TaskMetrics, and resume.
+/// in the live per-site order, and every task allocates the live edge ids,
+/// by construction. SLFR carries enable_fusion, so the replayer builds the
+/// live fusion plan: a fused edge is an ordinary delivery from task i to
+/// task i that the replayer queues in its FIFO instead of running inline,
+/// drawing what the live fused hop drew. Between any two tuples the
+/// debugger can pause, inspect bolt state (Bolt::StateBlob) and live
+/// TaskMetrics, and resume.
 ///
 /// Determinism contract (DESIGN.md §11): replay-vs-replay of one
 /// recording is always bit-identical. Replay-vs-original is bit-identical
 /// when (1) every bolt fed during the run phase has exactly one producer
-/// *task* (chains, fused parallelism-1 chains, and fields/shuffle
-/// fan-outs from a single source task — combiners fed only by the
-/// single-threaded finish pass don't count),
+/// *task* (chains, fused chains at any parallelism — a fused consumer's
+/// one producer is its task i — and fields/shuffle fan-outs from a single
+/// source task; combiners fed only by the single-threaded finish pass
+/// don't count),
 /// (2) executor-site faults (bolt_throw / task_crash / acker_loss) are
 /// only armed with execute_batch_size == 1, (3) at-least-once broadcast
 /// edges out of spouts are avoided, and (4) with task_crash armed, the
@@ -150,8 +151,7 @@ class ReplayEngine {
   MetricsRegistry& metrics() { return metrics_; }
   /// Null when the recording ran without fault injection.
   const FaultPlan* fault_plan() const { return graph_.fault_plan(); }
-  /// Edges the replayer fused (after Prepare): 0, since a recording reads
-  /// back with enable_fusion off.
+  /// Edges the live plan fused (after Prepare): the recorded run's count.
   size_t fused_edges() const { return graph_.plan()->fused_edge_count(); }
   uint64_t completed_roots() const { return completed_roots_; }
   uint64_t failed_roots() const { return failed_roots_; }

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <thread>
 
-#include "common/hash.h"
 #include "platform/clock.h"
 #include "platform/engine.h"
 
@@ -29,10 +28,6 @@ void StageGraph::Sleep(uint32_t micros) const {
   if (live_ && micros > 0) {
     std::this_thread::sleep_for(std::chrono::microseconds(micros));
   }
-}
-
-uint64_t StageGraph::NextEdgeId() {
-  return Mix64(next_edge_id_.fetch_add(1, std::memory_order_relaxed));
 }
 
 void StageGraph::Build(const Topology& topology, MetricsRegistry* metrics,
@@ -104,34 +99,32 @@ void StageGraph::Build(const Topology& topology, MetricsRegistry* metrics,
   }
 
   // Fused-operator compilation (DESIGN.md §13): lower the topology into the
-  // dataflow IR and run the fusion pass. A recording's config reads back
-  // with enable_fusion off, so the replayer fuses nothing; a recorded run
-  // fuses only edges whose grouping routes to the same task (rule 6).
+  // dataflow IR and run the fusion pass. A recording carries enable_fusion,
+  // so the replayer builds the live plan too.
   plan_ = std::make_unique<TopologyPlan>(TopologyPlan::FromTopology(topology));
   FusionOptions fusion_options;
   fusion_options.enable_fusion = config_.enable_fusion;
   fusion_options.dedicated_mode = config_.mode == ExecutionMode::kDedicated;
-  fusion_options.tracked = TracksTuples(config_.semantics);
-  fusion_options.epochs_enabled =
-      config_.epoch_interval_tuples > 0 || config_.resume_from_epoch > 0;
-  fusion_options.recording = config_.recorder != nullptr;
   plan_->RunFusionPass(fusion_options);
   for (const std::vector<size_t>& chain : plan_->chains()) {
     for (size_t i = 0; i + 1 < chain.size(); i++) {
-      // Rule 8: a fused producer has exactly one outgoing edge.
-      outgoing_[chain[i]][0].fused = true;
+      // Rule 7: a fused producer has exactly one outgoing edge; rule 5
+      // pairs its task i with the consumer's task i.
+      for (StageTask* producer : tasks_by_component[chain[i]]) {
+        producer->fused_next =
+            tasks_by_component[chain[i + 1]][producer->task_index];
+      }
     }
   }
 }
 
 void StageGraph::Route(const StageTask* from, const Tuple& tuple, Rng& rng,
                        std::vector<StageTask*>* out) const {
+  if (from->fused_next != nullptr) {
+    out->push_back(from->fused_next);
+    return;
+  }
   for (const StageEdge& edge : outgoing_[from->component_index]) {
-    if (edge.fused) {
-      // Rule 6 guarantees equal parallelism: task i feeds task i.
-      out->push_back(edge.targets[from->task_index]);
-      continue;
-    }
     switch (edge.grouping.kind) {
       case GroupingKind::kBroadcast:
         out->insert(out->end(), edge.targets.begin(), edge.targets.end());

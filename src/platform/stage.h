@@ -7,6 +7,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/random.h"
 #include "platform/fault.h"
 #include "platform/metrics.h"
@@ -36,9 +37,10 @@ struct Message {
 };
 
 /// One parallel instance of a component: the state every executor of a
-/// task shares — the live engine's threads, a fused chain, the replayer.
+/// task shares — the live engine's threads, a fused producer, the replayer.
 /// Everything here is touched only by the one thread currently running the
-/// task, which keeps each fault site's decision stream deterministic.
+/// task, which keeps each fault site's decision stream and edge-id sequence
+/// deterministic.
 struct StageTask {
   size_t global_index = 0;
   size_t component_index = 0;
@@ -54,15 +56,16 @@ struct StageTask {
   std::unique_ptr<FaultSite> executor_faults;   // Throw/crash/acker loss.
   std::unique_ptr<FaultSite> stall_faults;      // Per-delivery stalls.
   std::unique_ptr<FaultSite> barrier_faults;    // Barrier drop/delay.
+  // The consumer task this task's one outgoing edge feeds inline when that
+  // edge is fused (task i feeds task i; DESIGN.md §13), else null.
+  StageTask* fused_next = nullptr;
+  uint64_t edge_seq = 0;  // Edge ids this task allocated (NextEdgeId).
 };
 
 /// A subscription edge resolved to concrete target tasks.
 struct StageEdge {
   Grouping grouping;
   std::vector<StageTask*> targets;
-  // Realized as an in-thread fused hop: the producer's task i feeds the
-  // consumer's task i directly, with no queue in between.
-  bool fused = false;
 };
 
 /// The output side of one Execute. Begin sets the anchoring context for the
@@ -89,17 +92,16 @@ class StageCollector : public OutputCollector {
 };
 
 /// Where a hop's ack lands — the only part of a delivery that differs per
-/// caller: the acker staging (queued), the chain's XOR (fused), or the
-/// replayer's synchronous ledger.
+/// caller: the acker staging (queued), the producer's edge XOR (fused), or
+/// the replayer's synchronous ledger. A hop that threw, crashed or lost its
+/// ack lands nothing: its own edge id stays in the root's ledger, so the
+/// root fails.
 class AckSink {
  public:
   virtual ~AckSink() = default;
   /// The hop succeeded: XOR `value` (its edge id ^ its children's ids)
   /// into the root's ledger.
   virtual void Ack(uint64_t root, uint64_t value) = 0;
-  /// The hop was dropped, threw, crashed or lost its ack. Queued and
-  /// replayed hops need nothing: their own edge id stays in the ledger.
-  virtual void Fail(uint64_t root) { (void)root; }
 };
 
 enum class StageOutcome {
@@ -110,10 +112,10 @@ enum class StageOutcome {
 
 /// The per-run state the live engine and the replayer share: task and
 /// fault-site construction, edge resolution and the fusion plan, routing,
-/// transport draws, edge ids, the per-delivery stage runner and the finish
-/// pass. Both executors drive the same code, so a replay reproduces a live
-/// run draw for draw by construction: a fused hop draws what a queued or
-/// replayed delivery draws.
+/// the per-target delivery step (transport draws, edge ids), the stage
+/// runner and the finish pass. Both executors drive the same code, so a
+/// replay reproduces a live run draw for draw and edge id for edge id by
+/// construction: a fused hop is an ordinary delivery that runs inline.
 class StageGraph {
  public:
   /// `config` must outlive the graph. `live` = false (the replayer) builds
@@ -125,7 +127,8 @@ class StageGraph {
   /// Builds one task per (component, instance) in global-index order:
   /// `new_task` allocates it (the caller owns it), Build fills the shared
   /// fields, registers its metrics, and makes its fault sites. Then
-  /// resolves subscription edges and runs the fusion pass.
+  /// resolves subscription edges, runs the fusion pass, and links each
+  /// fused producer task to its consumer (`fused_next`).
   void Build(const Topology& topology, MetricsRegistry* metrics,
              const std::function<StageTask*()>& new_task);
 
@@ -143,14 +146,20 @@ class StageGraph {
   uint64_t NextSpanId() {
     return next_span_id_.fetch_add(1, std::memory_order_relaxed);
   }
-  /// The one edge-id allocator. Ids pass through the bijective Mix64, so
-  /// they are unique, never 0, and spread over 64 bits: a root holding a
-  /// few uncleared ids cannot XOR to zero by accident, which small
-  /// sequential ids do (1 ^ 2 ^ 3 == 0).
-  uint64_t NextEdgeId();
+  /// The edge-id allocator: `from`'s own sequence (from 1), interleaved
+  /// across tasks as seq × task_count + global_index and passed through the
+  /// bijective Mix64, so ids are unique, never 0, and spread over 64 bits:
+  /// a root holding a few uncleared ids cannot XOR to zero by accident,
+  /// which small sequential ids do (1 ^ 2 ^ 3 == 0). A sequence advances
+  /// only on its task's thread, so ids follow per-task program order (a
+  /// replay regenerates the live ids) and no shared counter is touched.
+  uint64_t NextEdgeId(StageTask* from) {
+    return Mix64(++from->edge_seq * tasks_.size() + from->global_index);
+  }
 
   /// Appends the tasks one emission of `from` goes to, across all of its
-  /// outgoing edges. `rng` draws shuffle targets.
+  /// outgoing edges (a fused producer's one edge: its `fused_next`). `rng`
+  /// draws shuffle targets.
   void Route(const StageTask* from, const Tuple& tuple, Rng& rng,
              std::vector<StageTask*>* out) const;
 
@@ -165,15 +174,22 @@ class StageGraph {
     return faults->FireDuplicateTuple() ? 2 : 1;
   }
 
-  /// Routes one emission of `from` and sends each routed copy: transport
-  /// draws, then a fresh edge id per arriving copy when `context.root_id`
-  /// is tracked. Arriving messages carry `context`'s stamps and go to
-  /// `wire->Deliver(StageTask* target, Message&&)`: the engine's staging or
-  /// the replayer's FIFO. Returns the XOR of every edge id created (a
-  /// dropped copy still creates one).
+  /// Routes one emission of `from` — `message` carries the tuple and the
+  /// producer's stamps (root, latency, trace) — and sends a copy to each
+  /// routed target through SendTo. Returns the XOR of what SendTo returned.
   template <typename Wire>
-  uint64_t Send(StageTask* from, Tuple tuple, const Message& context,
-                Wire* wire);
+  uint64_t Send(StageTask* from, Message&& message, Wire* wire);
+
+  /// One delivery from `from` to `target`, the per-target step routed
+  /// edges take and a fused producer takes directly with its one consumer:
+  /// transport draws, then per arriving copy a fresh edge id when the root
+  /// is tracked and `wire->Deliver(StageTask* target, Message&&)` — the
+  /// engine's staging or inline run, or the replayer's FIFO. Returns the
+  /// XOR of every edge id created (a dropped copy still creates one) and of
+  /// every value Deliver returned (a fused consumer's ack).
+  template <typename Wire>
+  uint64_t SendTo(StageTask* from, StageTask* target, Message&& message,
+                  Wire* wire);
 
   /// The stage runner: every tuple delivered to a bolt — queued, released
   /// from an alignment hold, fused inline, or replayed — executes here,
@@ -228,54 +244,53 @@ class StageGraph {
   std::vector<StageTask*> tasks_;  // Owned by the executor.
   std::vector<std::vector<StageEdge>> outgoing_;  // Per component index.
   std::vector<uint64_t> producer_tasks_;          // Per component index.
-  std::atomic<uint64_t> next_edge_id_{1};
   std::atomic<uint64_t> next_span_id_{1};
 };
 
-// Send and the runner are defined here so every caller inlines them (and
-// its Deliver): they run on every hop of the hot path, fused hops included.
+// Send, SendTo and the runner are defined here so every caller inlines
+// them (and its Deliver): they run on every hop of the hot path, fused hops
+// included.
 template <typename Wire>
-uint64_t StageGraph::Send(StageTask* from, Tuple tuple, const Message& context,
-                          Wire* wire) {
+uint64_t StageGraph::Send(StageTask* from, Message&& message, Wire* wire) {
   std::vector<StageTask*>& targets = from->route_scratch;
   targets.clear();
-  Route(from, tuple, from->rng, &targets);
-  const bool tracked = context.root_id != 0;
+  Route(from, message.tuple, from->rng, &targets);
+  if (targets.empty()) return 0;
   uint64_t edge_xor = 0;
-  for (size_t i = 0; i < targets.size(); i++) {
-    const int copies = DrawTransport(from);
-    if (copies == 0) {
-      // Transport loss: the edge id is anchored but the message never
-      // arrives — like a packet dropped after send. The ledger holds a
-      // bit no execution will clear, so under at-least-once the root
-      // times out and the spout's OnFail replays it.
-      if (tracked) edge_xor ^= NextEdgeId();
-      continue;
-    }
-    Message message;
-    message.tuple = i + 1 == targets.size() ? std::move(tuple) : Tuple(tuple);
-    message.root_id = context.root_id;
-    message.emit_time_nanos = context.emit_time_nanos;
-    message.producer_task = static_cast<uint32_t>(from->global_index);
-    if (context.trace_id != 0) {
-      // Traced path only: timestamp the enqueue (queue-wait = dequeue -
-      // enqueue at the consumer).
-      message.trace_id = context.trace_id;
-      message.trace_parent_span = context.trace_parent_span;
-      message.trace_enqueue_nanos = NowNanos();
-    }
-    // A duplicate is a redelivery with its own ledger entry, so the XOR
-    // accounting stays balanced while downstream genuinely sees the tuple
-    // twice — the duplication at-least-once permits and DedupLedger
-    // exists to suppress.
-    for (int copy = 0; copy < copies; copy++) {
-      message.edge_id = tracked ? NextEdgeId() : 0;
-      edge_xor ^= message.edge_id;
-      wire->Deliver(targets[i],
-                    copy + 1 < copies ? Message(message) : std::move(message));
-    }
+  for (size_t i = 0; i + 1 < targets.size(); i++) {
+    edge_xor ^= SendTo(from, targets[i], Message(message), wire);
   }
-  return edge_xor;
+  return edge_xor ^ SendTo(from, targets.back(), std::move(message), wire);
+}
+
+template <typename Wire>
+uint64_t StageGraph::SendTo(StageTask* from, StageTask* target,
+                            Message&& message, Wire* wire) {
+  const bool tracked = message.root_id != 0;
+  const int copies = DrawTransport(from);
+  // Transport loss: the edge id is anchored but the message never arrives —
+  // like a packet dropped after send. The ledger holds a bit no execution
+  // will clear, so under at-least-once the root times out and the spout's
+  // OnFail replays it.
+  if (copies == 0) return tracked ? NextEdgeId(from) : 0;
+  message.producer_task = static_cast<uint32_t>(from->global_index);
+  // Traced path only: timestamp the enqueue (queue-wait = dequeue - enqueue
+  // at the consumer).
+  if (message.trace_id != 0) message.trace_enqueue_nanos = NowNanos();
+  // A duplicate is a redelivery with its own ledger entry, so the XOR
+  // accounting stays balanced while downstream genuinely sees the tuple
+  // twice — the duplication at-least-once permits and DedupLedger exists
+  // to suppress. It goes first, then the original moves on.
+  uint64_t edge_xor = 0;
+  if (copies == 2) {
+    Message duplicate = message;
+    duplicate.edge_id = tracked ? NextEdgeId(from) : 0;
+    edge_xor = duplicate.edge_id;
+    edge_xor ^= wire->Deliver(target, std::move(duplicate));
+  }
+  message.edge_id = tracked ? NextEdgeId(from) : 0;
+  edge_xor ^= message.edge_id;
+  return edge_xor ^ wire->Deliver(target, std::move(message));
 }
 
 inline StageOutcome StageGraph::Run(StageTask* task, const Message& m,
@@ -301,10 +316,7 @@ inline StageOutcome StageGraph::Run(StageTask* task, const Message& m,
     task->metrics->IncBoltExceptions();
   }
   const uint64_t xor_out = out->End();
-  if (!ok) {
-    if (m.root_id != 0) acks->Fail(m.root_id);
-    return StageOutcome::kFailed;
-  }
+  if (!ok) return StageOutcome::kFailed;
   if (m.trace_id != 0) {
     task->trace_ring->Record(TraceEvent{
         m.trace_id, span, m.trace_parent_span,
@@ -322,12 +334,8 @@ inline StageOutcome StageGraph::Run(StageTask* task, const Message& m,
   // fault loses the ack in transit instead: the root stays unresolved
   // until the timeout fails it back to the spout.
   const Fate fate = DrawFate(task, m.root_id != 0);
-  if (m.root_id != 0) {
-    if (fate == Fate::kAck) {
-      acks->Ack(m.root_id, m.edge_id ^ xor_out);
-    } else {
-      acks->Fail(m.root_id);
-    }
+  if (m.root_id != 0 && fate == Fate::kAck) {
+    acks->Ack(m.root_id, m.edge_id ^ xor_out);
   }
   return fate == Fate::kCrash ? StageOutcome::kCrashed : StageOutcome::kOk;
 }

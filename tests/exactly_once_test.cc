@@ -597,9 +597,12 @@ class EpochCountBolt : public Bolt {
 /// src -> relay x2 (shuffle) -> count x2 (fields): the chaos topology. The
 /// shuffle hop forces real multi-producer barrier alignment at each count
 /// task; fields grouping keeps every payload on a stable count task so the
-/// per-task ledgers see all redeliveries of their own payloads.
+/// per-task ledgers see all redeliveries of their own payloads. The `fused`
+/// variant runs one relay task, so under enable_fusion src -> relay fuses:
+/// relay executes inline on the spout thread and cuts each epoch there.
 Topology BuildCountTopology(int64_t limit, int64_t halt,
-                            std::shared_ptr<CountHolder> holder) {
+                            std::shared_ptr<CountHolder> holder,
+                            bool fused = false) {
   TopologyBuilder builder;
   builder.AddSpout("src", [limit, halt]() -> std::unique_ptr<Spout> {
     return std::make_unique<ReplayableSequenceSpout>(limit, nullptr, halt);
@@ -610,7 +613,7 @@ Topology BuildCountTopology(int64_t limit, int64_t halt,
         return std::make_unique<FunctionBolt>(
             [](const Tuple& t, OutputCollector* out) { out->Emit(t); });
       },
-      2, {{"src", Grouping::Shuffle()}});
+      fused ? 1 : 2, {{"src", Grouping::Shuffle()}});
   builder.AddBolt(
       "count",
       [holder]() -> std::unique_ptr<Bolt> {
@@ -621,8 +624,10 @@ Topology BuildCountTopology(int64_t limit, int64_t halt,
 }
 
 EngineConfig MakeExactlyOnceConfig(KvCheckpointStore* store, uint64_t resume,
-                                   const FaultSpec& faults) {
+                                   const FaultSpec& faults,
+                                   bool fused = false) {
   EngineConfig config;
+  config.enable_fusion = fused;
   config.semantics = DeliverySemantics::kExactlyOnce;
   config.checkpoint_store = store;
   config.epoch_interval_tuples = 32;
@@ -638,19 +643,19 @@ EngineConfig MakeExactlyOnceConfig(KvCheckpointStore* store, uint64_t resume,
 /// last complete epoch under `phase2` faults and let it finish the stream.
 /// Every payload must be counted exactly once — zero loss (every sequence
 /// present) and zero duplication (no count above one), regardless of which
-/// fault mix ran.
-void RunCrashResumeScenario(const std::string& name, FaultSpec phase1,
-                            FaultSpec phase2) {
-  SCOPED_TRACE(name);
+/// fault mix ran, on the queued chaos topology and on its fused variant.
+void RunCrashResumeScenarioOn(bool fused, FaultSpec phase1, FaultSpec phase2) {
+  SCOPED_TRACE(fused ? "fused src -> relay" : "queued");
   constexpr int64_t kN = 280;
   constexpr int64_t kHalt = 150;
   KvCheckpointStore store;
 
   {
     auto torn = std::make_shared<CountHolder>();
-    TopologyEngine engine(BuildCountTopology(kN, kHalt, torn),
-                          MakeExactlyOnceConfig(&store, 0, phase1));
+    TopologyEngine engine(BuildCountTopology(kN, kHalt, torn, fused),
+                          MakeExactlyOnceConfig(&store, 0, phase1, fused));
     engine.Run();
+    EXPECT_EQ(engine.fused_edges(), fused ? 1u : 0u);
     if (phase1.Enabled()) {
       EXPECT_GT(engine.fault_plan()->total_injected(), 0u);
     }
@@ -660,8 +665,8 @@ void RunCrashResumeScenario(const std::string& name, FaultSpec phase1,
 
   const uint64_t resume = LastCompleteEpoch(store);
   auto counts = std::make_shared<CountHolder>();
-  TopologyEngine engine(BuildCountTopology(kN, /*halt=*/-1, counts),
-                        MakeExactlyOnceConfig(&store, resume, phase2));
+  TopologyEngine engine(BuildCountTopology(kN, /*halt=*/-1, counts, fused),
+                        MakeExactlyOnceConfig(&store, resume, phase2, fused));
   engine.Run();
   EXPECT_GE(engine.last_complete_epoch(), resume);
 
@@ -672,6 +677,14 @@ void RunCrashResumeScenario(const std::string& name, FaultSpec phase1,
     auto it = counts->counts.find(i);
     ASSERT_NE(it, counts->counts.end()) << "payload " << i << " lost";
     EXPECT_EQ(it->second, 1u) << "payload " << i << " double-counted";
+  }
+}
+
+void RunCrashResumeScenario(const std::string& name, FaultSpec phase1,
+                            FaultSpec phase2) {
+  SCOPED_TRACE(name);
+  for (const bool fused : {false, true}) {
+    RunCrashResumeScenarioOn(fused, phase1, phase2);
   }
 }
 
@@ -766,59 +779,66 @@ TEST(BarrierExactnessTest, EpochFramesHoldExactEmissionPrefixes) {
   // Single chain, no faults, lazy ack timeout (no spurious replays): the
   // barrier after the e*K-th emission must cut the stream exactly there,
   // so epoch e's count frame is precisely the payloads [0, e*K) and the
-  // spout frame's cursor is e*K.
+  // spout frame's cursor is e*K — through a queued edge, and through a
+  // fused one, where the barrier reaches the count task inline and it cuts
+  // on the spout thread.
   static constexpr int64_t kN = 100;
   constexpr uint64_t kInterval = 25;
-  KvCheckpointStore store;
-  auto holder = std::make_shared<CountHolder>();
+  for (const bool fused : {false, true}) {
+    SCOPED_TRACE(fused ? "fused" : "queued");
+    KvCheckpointStore store;
+    auto holder = std::make_shared<CountHolder>();
 
-  TopologyBuilder builder;
-  builder.AddSpout("src", []() -> std::unique_ptr<Spout> {
-    return std::make_unique<ReplayableSequenceSpout>(kN);
-  });
-  builder.AddBolt(
-      "count",
-      [holder]() -> std::unique_ptr<Bolt> {
-        return std::make_unique<EpochCountBolt>(holder, /*dedup=*/true);
-      },
-      1, {{"src", Grouping::Global()}});
+    TopologyBuilder builder;
+    builder.AddSpout("src", []() -> std::unique_ptr<Spout> {
+      return std::make_unique<ReplayableSequenceSpout>(kN);
+    });
+    builder.AddBolt(
+        "count",
+        [holder]() -> std::unique_ptr<Bolt> {
+          return std::make_unique<EpochCountBolt>(holder, /*dedup=*/true);
+        },
+        1, {{"src", Grouping::Global()}});
 
-  EngineConfig config;
-  config.semantics = DeliverySemantics::kExactlyOnce;
-  config.checkpoint_store = &store;
-  config.epoch_interval_tuples = kInterval;
-  TopologyEngine engine(builder.Build().value(), config);
-  engine.Run();
+    EngineConfig config;
+    config.semantics = DeliverySemantics::kExactlyOnce;
+    config.checkpoint_store = &store;
+    config.epoch_interval_tuples = kInterval;
+    config.enable_fusion = fused;
+    TopologyEngine engine(builder.Build().value(), config);
+    engine.Run();
 
-  EXPECT_EQ(engine.last_complete_epoch(), 4u);
-  EXPECT_EQ(engine.epochs_completed(), 4u);
-  EXPECT_EQ(engine.epoch_timeouts(), 0u);
-  EXPECT_EQ(LastCompleteEpoch(store), 4u);
+    EXPECT_EQ(engine.fused_edges(), fused ? 1u : 0u);
+    EXPECT_EQ(engine.last_complete_epoch(), 4u);
+    EXPECT_EQ(engine.epochs_completed(), 4u);
+    EXPECT_EQ(engine.epoch_timeouts(), 0u);
+    EXPECT_EQ(LastCompleteEpoch(store), 4u);
 
-  for (uint64_t e = 1; e <= 4; e++) {
-    std::optional<std::vector<uint8_t>> frame =
-        store.Get(EpochTaskKey(e, "count", 0));
-    ASSERT_TRUE(frame.has_value()) << "epoch " << e;
-    std::map<int64_t, uint64_t> counts;
-    DedupLedger ledger;
-    ASSERT_TRUE(EpochCountBolt::Decode(*frame, &counts, &ledger).ok());
-    ASSERT_EQ(counts.size(), e * kInterval) << "epoch " << e;
-    for (uint64_t i = 0; i < e * kInterval; i++) {
-      EXPECT_EQ(counts[static_cast<int64_t>(i)], 1u)
-          << "epoch " << e << " payload " << i;
+    for (uint64_t e = 1; e <= 4; e++) {
+      std::optional<std::vector<uint8_t>> frame =
+          store.Get(EpochTaskKey(e, "count", 0));
+      ASSERT_TRUE(frame.has_value()) << "epoch " << e;
+      std::map<int64_t, uint64_t> counts;
+      DedupLedger ledger;
+      ASSERT_TRUE(EpochCountBolt::Decode(*frame, &counts, &ledger).ok());
+      ASSERT_EQ(counts.size(), e * kInterval) << "epoch " << e;
+      for (uint64_t i = 0; i < e * kInterval; i++) {
+        EXPECT_EQ(counts[static_cast<int64_t>(i)], 1u)
+            << "epoch " << e << " payload " << i;
+      }
+
+      std::optional<std::vector<uint8_t>> spout_frame =
+          store.Get(EpochTaskKey(e, "src", 0));
+      ASSERT_TRUE(spout_frame.has_value()) << "epoch " << e;
+      ByteReader r(*spout_frame);
+      uint64_t cursor = 0;
+      ASSERT_TRUE(r.GetVarint(&cursor).ok());
+      EXPECT_EQ(cursor, e * kInterval) << "epoch " << e;
     }
 
-    std::optional<std::vector<uint8_t>> spout_frame =
-        store.Get(EpochTaskKey(e, "src", 0));
-    ASSERT_TRUE(spout_frame.has_value()) << "epoch " << e;
-    ByteReader r(*spout_frame);
-    uint64_t cursor = 0;
-    ASSERT_TRUE(r.GetVarint(&cursor).ok());
-    EXPECT_EQ(cursor, e * kInterval) << "epoch " << e;
+    std::lock_guard<std::mutex> lock(holder->mu);
+    EXPECT_EQ(holder->counts.size(), static_cast<size_t>(kN));
   }
-
-  std::lock_guard<std::mutex> lock(holder->mu);
-  EXPECT_EQ(holder->counts.size(), static_cast<size_t>(kN));
 }
 
 // ------------------------------------------------- epoch telemetry

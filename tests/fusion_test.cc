@@ -1,14 +1,15 @@
 // Fused-operator topology compilation (DESIGN.md §13): the dataflow IR's
-// shape, every fusion-legality veto, engine execution through fused chains
-// (counts and results identical to the queued baseline), the
-// fused-vs-queued fault-schedule equality contract, the per-message draw
-// sizing of the batched execute path, and the injectable-Clock
-// alignment-timeout determinism fix.
+// shape, every fusion-legality veto (and that recording and epochs veto
+// nothing), engine execution through fused chains (counts and results
+// identical to the queued baseline), the fused-vs-queued fault-schedule
+// equality contract, the per-message draw sizing of the batched execute
+// path, and the injectable-Clock alignment-timeout determinism fix.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <optional>
@@ -16,12 +17,15 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "platform/checkpoint.h"
 #include "platform/clock.h"
 #include "platform/components.h"
 #include "platform/engine.h"
 #include "platform/fault.h"
 #include "platform/plan.h"
+#include "platform/recorder.h"
 #include "platform/topology.h"
 
 namespace streamlib::platform {
@@ -47,20 +51,23 @@ std::unique_ptr<Bolt> MakePassThroughBolt() {
       });
 }
 
-/// spout -> map -> sink, all parallelism 1, shuffle edges — the canonical
-/// fully fusible 3-stage chain.
-Topology ThreeStageChain(TupleSink* sink, int64_t tuples) {
+/// spout -> map -> sink, shuffle edges, every component `parallelism`
+/// tasks (each spout task emitting `tuples`) — the canonical fully fusible
+/// 3-stage chain.
+Topology ThreeStageChain(TupleSink* sink, int64_t tuples,
+                         uint32_t parallelism = 1) {
   TopologyBuilder builder;
-  builder.AddSpout("src", [tuples] { return MakeCountingSpout(tuples); });
+  builder.AddSpout(
+      "src", [tuples] { return MakeCountingSpout(tuples); }, parallelism);
   builder.AddBolt(
-      "map", [] { return MakePassThroughBolt(); }, 1,
+      "map", [] { return MakePassThroughBolt(); }, parallelism,
       {{"src", Grouping::Shuffle()}});
   builder.AddBolt(
       "sink",
       [sink]() -> std::unique_ptr<Bolt> {
         return std::make_unique<SinkBolt>(sink);
       },
-      1, {{"map", Grouping::Shuffle()}});
+      parallelism, {{"map", Grouping::Shuffle()}});
   return builder.Build().value();
 }
 
@@ -208,39 +215,6 @@ TEST(FusionLegalityTest, GlobalGroupingFusesOnlyAtParallelismOne) {
             std::string::npos);
 }
 
-// The replayer routes a recorded shuffle by its rng, which picks the fused
-// hop's task only when there is one: recording keeps the wider edge queued
-// and leaves parallelism-1 chains fused.
-TEST(FusionLegalityTest, RecordedShuffleFusesOnlyAtParallelismOne) {
-  FusionOptions recording = FusionOn();
-  recording.recording = true;
-  for (uint32_t parallelism : {1u, 2u}) {
-    TupleSink sink;
-    TopologyBuilder builder;
-    builder.AddSpout("src", [] { return MakeCountingSpout(1); }, parallelism);
-    builder.AddBolt(
-        "sink",
-        [&sink]() -> std::unique_ptr<Bolt> {
-          return std::make_unique<SinkBolt>(&sink);
-        },
-        parallelism, {{"src", Grouping::Shuffle()}});
-    const Topology topology = builder.Build().value();
-    EXPECT_EQ(PlanFor(topology, FusionOn()).fused_edge_count(), 1u);
-    TopologyPlan plan = PlanFor(topology, recording);
-    const PlanEdge& edge = EdgeBetween(plan, "src", "sink");
-    const Status status = TopologyPlan::FusionLegality(
-        plan.nodes()[edge.from], plan.nodes()[edge.to], edge, recording);
-    if (parallelism == 1) {
-      EXPECT_EQ(plan.fused_edge_count(), 1u);
-      EXPECT_TRUE(status.ok()) << status.ToString();
-    } else {
-      EXPECT_EQ(plan.fused_edge_count(), 0u);
-      EXPECT_NE(edge.veto.find("recorded shuffle"), std::string::npos);
-      EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
-    }
-  }
-}
-
 TEST(FusionLegalityTest, FanInAndFanOutRefuse) {
   TupleSink sink;
   TopologyBuilder builder;
@@ -280,18 +254,45 @@ TEST(FusionLegalityTest, MultiplexedModeRefuses) {
             std::string::npos);
 }
 
-TEST(FusionLegalityTest, EpochBarrierEdgesRefuse) {
-  TupleSink sink;
-  FusionOptions options = FusionOn();
-  options.epochs_enabled = true;
-  TopologyPlan plan = PlanFor(ThreeStageChain(&sink, 1), options);
-  EXPECT_EQ(plan.fused_edge_count(), 0u);
-  const PlanEdge& edge = EdgeBetween(plan, "src", "map");
-  EXPECT_NE(edge.veto.find("barrier"), std::string::npos);
-  EXPECT_TRUE(edge.barriered);
-  const Status status = TopologyPlan::FusionLegality(
-      plan.nodes()[edge.from], plan.nodes()[edge.to], edge, options);
-  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+// Neither a flight recorder nor epoch checkpointing vetoes fusion: a
+// recording carries enable_fusion, so its replay routes a fused shuffle
+// task i -> task i like the live run, and a barrier crosses a fused edge
+// into a consumer that cuts the epoch inline. A parallelism-2 shuffle chain
+// fuses end to end under each (the two are mutually exclusive by
+// EngineConfig::Validate, so they run separately).
+TEST(FusionLegalityTest, RecordingAndEpochsVetoNothing) {
+  constexpr int64_t kTuples = 500;
+  auto run = [](EngineConfig config) {
+    TupleSink sink;
+    config.enable_fusion = true;
+    config.telemetry_sample_interval_ms = 0;
+    TopologyEngine engine(ThreeStageChain(&sink, kTuples, 2), config);
+    engine.Run();
+    EXPECT_EQ(engine.fused_edges(), 2u);
+    for (const PlanEdge& edge : engine.plan()->edges()) {
+      EXPECT_TRUE(edge.veto.empty()) << edge.veto;
+    }
+    EXPECT_EQ(sink.Size(), 2u * kTuples);
+    return engine.epochs_completed();
+  };
+
+  const std::string path = ::testing::TempDir() + "fusion_test_" +
+                           std::to_string(::getpid()) + ".slfr";
+  TupleSink unused;
+  Result<std::unique_ptr<RunRecorder>> recorder = RunRecorder::Create(
+      path, EngineConfig{}, ThreeStageChain(&unused, kTuples, 2));
+  ASSERT_TRUE(recorder.ok()) << recorder.status().ToString();
+  EngineConfig recording;
+  recording.recorder = recorder.value().get();
+  run(recording);
+  EXPECT_TRUE(recorder.value()->Finalize().ok());
+  std::remove(path.c_str());
+
+  KvCheckpointStore store;
+  EngineConfig epochs;
+  epochs.checkpoint_store = &store;
+  epochs.epoch_interval_tuples = 100;
+  EXPECT_EQ(run(epochs), kTuples / 100);
 }
 
 // ------------------------------------------------------ engine execution
@@ -314,7 +315,7 @@ RunOutcome RunChain(int64_t tuples, bool fuse, DeliverySemantics semantics,
   config.semantics = semantics;
   config.enable_fusion = fuse;
   config.seed = 0xfeed;
-  config.ack_timeout_seconds = 0.5;  // Poisoned roots fail fast.
+  config.ack_timeout_seconds = 0.5;  // Fault-hit roots fail fast.
   config.telemetry_sample_interval_ms = 0;
   config.faults = faults;
   TopologyEngine engine(ThreeStageChain(&sink, tuples), config);

@@ -240,6 +240,7 @@ TEST(RecorderFormatTest, RoundTripsConfigEmissionsAndSummary) {
   config.seed = 424242;
   config.ack_timeout_seconds = 2.5;
   config.enable_spsc = false;
+  config.enable_fusion = true;
   config.faults.seed = 99;
   config.faults.drop_tuple_prob = 0.125;
   config.faults.max_task_crashes = 3;
@@ -269,6 +270,7 @@ TEST(RecorderFormatTest, RoundTripsConfigEmissionsAndSummary) {
   EXPECT_EQ(r.config.seed, 424242u);
   EXPECT_EQ(r.config.ack_timeout_seconds, 2.5);
   EXPECT_FALSE(r.config.enable_spsc);
+  EXPECT_TRUE(r.config.enable_fusion);
   EXPECT_EQ(r.config.faults.seed, 99u);
   EXPECT_EQ(r.config.faults.drop_tuple_prob, 0.125);
   EXPECT_EQ(r.config.faults.max_task_crashes, 3u);
@@ -361,10 +363,15 @@ TEST_F(RecordingCorruptionTest, BadMagicIsCorruption) {
   EXPECT_EQ(ReadCodeAfter(mutated), StatusCode::kCorruption);
 }
 
+// Version 1 predates enable_fusion in the meta segment; no reader keeps it.
 TEST_F(RecordingCorruptionTest, UnsupportedVersionIsInvalidArgument) {
-  std::vector<uint8_t> mutated = bytes_;
-  mutated[4] = 99;  // Version field follows the u32 magic.
-  EXPECT_EQ(ReadCodeAfter(mutated), StatusCode::kInvalidArgument);
+  ASSERT_EQ(bytes_[4], kRecordingVersion);
+  for (const uint8_t version : {uint8_t{1}, uint8_t{99}}) {
+    std::vector<uint8_t> mutated = bytes_;
+    mutated[4] = version;  // Version field follows the u32 magic.
+    EXPECT_EQ(ReadCodeAfter(mutated), StatusCode::kInvalidArgument)
+        << "version " << static_cast<int>(version);
+  }
 }
 
 TEST_F(RecordingCorruptionTest, TruncatedSegmentIsCorruption) {
@@ -614,10 +621,10 @@ EngineConfig FaultyFusionConfig(DeliverySemantics semantics) {
 
 // Records the chain under `config`, checks the live fused-edge count and
 // that each of `fired` fired, then replays it and requires an exact match,
-// sink count included. The replayer itself fuses nothing (a recording
-// reads back with enable_fusion off): a fused hop runs the stage runner a
-// replayed delivery runs, and at parallelism 1 its grouping picks the one
-// task the fused hop feeds.
+// sink count included. The recording carries enable_fusion, so the
+// replayer builds the live plan (the same fused-edge count) and queues each
+// fused delivery task i -> task i in its FIFO, drawing what the live fused
+// hop drew.
 void ExpectRecordedChainReplaysExactly(EngineConfig config,
                                        bool fuse_spout_edge,
                                        uint32_t parallelism,
@@ -649,7 +656,7 @@ void ExpectRecordedChainReplaysExactly(EngineConfig config,
   ReplayEngine replay(
       FusibleChain(fuse_spout_edge, parallelism, n, replay_sunk), run.value());
   ASSERT_TRUE(replay.Prepare().ok());
-  EXPECT_EQ(replay.fused_edges(), 0u);
+  EXPECT_EQ(replay.fused_edges(), want_fused_edges);
   EXPECT_EQ(replay.Run(), ReplayStop::kEnd);
   const Status verdict = replay.CompareWithRecorded();
   EXPECT_TRUE(verdict.ok()) << verdict.ToString();
@@ -675,19 +682,15 @@ TEST(RecordReplayFusionTest, BoltHeadedFusedChainReplaysExactly) {
       kEveryTrackedFault);
 }
 
-// At parallelism 2 a fused shuffle feeds task i from task i, which the
-// replayer's rng routing does not, so recording keeps both edges queued
-// (fusion rule 6). Queued, each map and sink task merges two producer
-// tasks — outside the contract's condition (1) — so this runs at-most-once:
-// with content-independent bolts and no roots to resolve, every recorded
-// counter is a function of per-site delivery counts alone and must replay
-// exactly. Were the edges fused, per-task counts would differ.
-TEST(RecordReplayFusionTest, RecordedShuffleAtParallelismTwoStaysQueued) {
+// At parallelism 2 a fused shuffle feeds task i from task i, live and
+// replayed alike, so each map and sink task has exactly one producer task
+// (the contract's condition (1)) and two concurrent spout threads still
+// replay exactly, at-least-once under every tracked fault.
+TEST(RecordReplayFusionTest, ParallelismTwoFusedChainReplaysExactly) {
   ExpectRecordedChainReplaysExactly(
-      FaultyFusionConfig(DeliverySemantics::kAtMostOnce),
-      /*fuse_spout_edge=*/true, /*parallelism=*/2, /*want_fused_edges=*/0,
-      {FaultKind::kDropTuple, FaultKind::kDuplicateTuple,
-       FaultKind::kBoltThrow, FaultKind::kQueueStall});
+      FaultyFusionConfig(DeliverySemantics::kAtLeastOnce),
+      /*fuse_spout_edge=*/true, /*parallelism=*/2, /*want_fused_edges=*/2,
+      kEveryTrackedFault);
 }
 
 // --------------------------------------------- breakpoints and stepping
