@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
+#include <string>
 #include <unordered_map>
 
 #include "common/check.h"
@@ -13,6 +13,21 @@
 #include "platform/spsc_ring.h"
 
 namespace streamlib::platform {
+
+namespace {
+
+/// A timeout knob is positive and its nanosecond count fits a uint64_t:
+/// TimeoutNanos's cast is undefined past 2^64 ns (about 1.8e10 s). NaN and
+/// the infinities fail one comparison or the other.
+bool ValidTimeout(double seconds) {
+  return seconds > 0 && seconds * 1e9 < 0x1p64;
+}
+
+uint64_t TimeoutNanos(double seconds) {
+  return static_cast<uint64_t>(seconds * 1e9);
+}
+
+}  // namespace
 
 Status EngineConfig::Validate() const {
   if (queue_capacity == 0) {
@@ -27,12 +42,10 @@ Status EngineConfig::Validate() const {
     return Status::InvalidArgument(
         "multiplexed mode needs at least one executor thread");
   }
-  // Checked regardless of semantics: the knob must always be sane, and the
-  // isfinite guard keeps NaN (for which every comparison is false) from
-  // slipping through to the acker's timeout arithmetic.
-  if (!std::isfinite(ack_timeout_seconds) || ack_timeout_seconds <= 0) {
+  // Checked regardless of semantics: the knob must always be sane.
+  if (!ValidTimeout(ack_timeout_seconds)) {
     return Status::InvalidArgument(
-        "ack_timeout_seconds must be positive and finite");
+        "ack_timeout_seconds must be positive and below 1.8e10 (2^64 ns)");
   }
   if (TracksTuples(semantics) && max_spout_pending == 0) {
     return Status::InvalidArgument(
@@ -49,18 +62,10 @@ Status EngineConfig::Validate() const {
     return Status::InvalidArgument(
         "epoch checkpointing needs a checkpoint_store");
   }
-  if (!std::isfinite(epoch_align_timeout_seconds) ||
-      epoch_align_timeout_seconds <= 0) {
+  if (!ValidTimeout(epoch_align_timeout_seconds)) {
     return Status::InvalidArgument(
-        "epoch_align_timeout_seconds must be positive and finite");
-  }
-  // Recording captures spout emissions only; barrier schedules and restored
-  // state are outside the recording's determinism envelope, so a replay
-  // could not reproduce the run. Reject the combination up front.
-  if (recorder != nullptr &&
-      (epoch_interval_tuples > 0 || resume_from_epoch > 0)) {
-    return Status::InvalidArgument(
-        "flight recording and epoch checkpointing are mutually exclusive");
+        "epoch_align_timeout_seconds must be positive and below 1.8e10 "
+        "(2^64 ns)");
   }
   // Telemetry knobs: 0 = disabled, not an error. Guard against intervals
   // so short the sampler becomes a busy loop perturbing the data path.
@@ -81,73 +86,11 @@ struct TopologyEngine::AckerEvent {
   size_t spout_task = 0;  // kInit only.
 };
 
-/// One parallel instance of a component: the shared stage state plus the
-/// live engine's wiring.
-///
-/// Bolt tasks own exactly one input channel: a lock-free SPSC ring when the
-/// task has a single producer task in dedicated mode (the common
-/// spout→bolt pipeline edge), otherwise the mutex-based MPMC BlockingQueue.
-/// The In* helpers dispatch to whichever is present. A fused consumer
-/// (some task's `fused_next`) has neither and no thread of its own: its
-/// bolt runs inline on its producer's thread, so all its state keeps the
-/// one-consulting-thread invariant.
-struct TopologyEngine::Task : StageTask {
-  std::unique_ptr<BlockingQueue<Message>> queue;  // Bolts, multi-producer.
-  std::unique_ptr<SpscRing<Message>> ring;        // Bolts, single-producer.
-  std::unique_ptr<TaskCollector> collector;
-
-  // Epoch-barrier state (null/empty unless epoch_interval_tuples > 0; all
-  // touched only by the thread currently running this task).
-  std::unique_ptr<EpochAligner> aligner;  // Bolts only.
-  std::vector<Message> held;        // Post-barrier input awaiting alignment.
-  std::vector<uint64_t> held_tags;  // held[i] belongs to epoch held_tags[i].
-  uint64_t last_snapshot_epoch = 0;  // Frame a crash-restart restores from.
-
-  bool HasInput() const { return ring != nullptr || queue != nullptr; }
-  size_t InPushAll(std::span<Message> b) {
-    return ring ? ring->PushAll(b) : queue->PushAll(b);
-  }
-  size_t InTryPushAll(std::span<Message> b) {
-    return ring ? ring->TryPushAll(b) : queue->TryPushAll(b);
-  }
-  size_t InForcePushAll(std::span<Message> b) {
-    // Rings are never selected in multiplexed mode, the only ForcePush
-    // caller; fall back to a blocking push if that ever changes.
-    return ring ? ring->PushAll(b) : queue->ForcePushAll(b);
-  }
-  size_t InPopBatch(std::vector<Message>& out, size_t max) {
-    return ring ? ring->PopBatch(out, max) : queue->PopBatch(out, max);
-  }
-  size_t InTryPopBatch(std::vector<Message>& out, size_t max) {
-    return ring ? ring->TryPopBatch(out, max) : queue->TryPopBatch(out, max);
-  }
-  size_t InPopBatchTimed(std::vector<Message>& out, size_t max,
-                         std::chrono::nanoseconds timeout) {
-    return ring ? ring->PopBatchWithTimeout(out, max, timeout)
-                : queue->PopBatchWithTimeout(out, max, timeout);
-  }
-  void InClose() {
-    if (ring) {
-      ring->Close();
-    } else {
-      queue->Close();
-    }
-  }
-  size_t InSize() const { return ring ? ring->Size() : queue->Size(); }
-  size_t InApproxSize() const {
-    return ring ? ring->ApproxSize() : queue->ApproxSize();
-  }
-  bool InClosed() const { return ring ? ring->Closed() : queue->Closed(); }
-};
-
-TopologyEngine::Task* TopologyEngine::TaskOf(StageTask* task) {
-  return static_cast<Task*>(task);
-}
-
-/// Engine-side OutputCollector for one task: anchors, stages each routed
-/// copy for its target or runs its fused consumer inline (the wire of
-/// StageGraph::Send and SendTo), applies backpressure, and stages the
-/// task's acker traffic (its AckSink).
+/// The OutputCollector of one task. It anchors each emission, routes it
+/// and sends a copy to each target: the transport draws, a fresh edge id
+/// per arriving copy, then the copy is staged for its target — or, on a
+/// fused edge, the consumer runs inline. It also applies backpressure and
+/// stages the task's acker traffic.
 ///
 /// Emissions do not hit downstream queues directly: they accumulate in
 /// per-target staging buffers and flush as one batch push when a buffer
@@ -156,8 +99,9 @@ TopologyEngine::Task* TopologyEngine::TaskOf(StageTask* task) {
 /// batch while preserving per-target FIFO order. Acker traffic (kInit from
 /// spouts, kUpdate from bolts) is staged and flushed the same way — one
 /// vector push per execute batch.
-class TopologyEngine::TaskCollector : public StageCollector,
-                                      public AckSink {
+class TaskCollector : public OutputCollector {
+  using AckerEvent = TopologyEngine::AckerEvent;
+
  public:
   /// Builds one staging slot per distinct downstream task this task can
   /// reach through a queued edge (none for a fused producer, whose one
@@ -166,21 +110,33 @@ class TopologyEngine::TaskCollector : public StageCollector,
       : engine_(engine),
         task_(task),
         batch_size_(std::max<size_t>(1, engine->config_.emit_batch_size)) {
-    slot_of_task_.assign(engine_->tasks_.size(), -1);
+    slot_of_task_.assign(engine_->graph_.tasks().size(), -1);
     if (task_->fused_next != nullptr) return;
     for (const StageEdge& edge :
          engine_->graph_.outgoing(task_->component_index)) {
-      for (StageTask* target : edge.targets) {
+      for (Task* target : edge.targets) {
         if (slot_of_task_[target->global_index] < 0) {
           slot_of_task_[target->global_index] =
               static_cast<int32_t>(slots_.size());
           slots_.emplace_back();
-          slots_.back().target = TaskOf(target);
+          slots_.back().target = target;
           slots_.back().buffer.reserve(batch_size_);
         }
       }
     }
   }
+
+  /// Sets the anchoring context for the hop `m`: the emissions of its
+  /// Execute inherit its root and latency stamp, and parent their trace
+  /// spans under `span`. End returns the XOR of the edge ids they created.
+  void Begin(const Message& m, uint64_t span) {
+    root_ = m.root_id;
+    emit_time_ = m.emit_time_nanos;
+    trace_id_ = m.trace_id;
+    span_ = span;
+    xor_out_ = 0;
+  }
+  uint64_t End() const { return xor_out_; }
 
   uint64_t LastRootId() const override { return last_spout_root_; }
 
@@ -190,6 +146,7 @@ class TopologyEngine::TaskCollector : public StageCollector,
 
   void Emit(Tuple tuple) override {
     const bool from_spout = task_->spout != nullptr;
+    const EngineConfig& config = engine_->config_;
     Message message;
     message.root_id = root_;
     message.emit_time_nanos = emit_time_;
@@ -197,19 +154,19 @@ class TopologyEngine::TaskCollector : public StageCollector,
       // Flight recorder tap: capture the emission before routing consumes
       // (moves) the tuple. Everything downstream is deterministic given
       // the config, so spout output is all the recording needs.
-      if (engine_->config_.recorder != nullptr) {
-        engine_->config_.recorder->RecordEmission(
+      if (config.recorder != nullptr) {
+        config.recorder->RecordEmission(
             static_cast<uint32_t>(task_->global_index), tuple);
       }
       // Source-side latency sampling: stamp every Nth emission instead of
       // reading the clock per tuple; executors sample exactly the stamped
       // tuples (and their descendants, which inherit the stamp).
-      const uint32_t every = engine_->config_.latency_sample_every;
+      const uint32_t every = config.latency_sample_every;
       message.emit_time_nanos =
           every > 0 && total_emitted_ % every == 0 ? engine_->NowNanos() : 0;
       // Trace sampling rides the same counter: every Kth root becomes a
       // span tree, rooted at a span recorded right here.
-      const uint32_t trace_every = engine_->config_.trace_sample_every;
+      const uint32_t trace_every = config.trace_sample_every;
       if (trace_every > 0 && total_emitted_ % trace_every == 0) {
         trace_id_ = engine_->graph_.NextSpanId();
         span_ = trace_id_;
@@ -221,7 +178,7 @@ class TopologyEngine::TaskCollector : public StageCollector,
         trace_id_ = 0;
         span_ = 0;
       }
-      if (TracksTuples(engine_->config_.semantics)) {
+      if (TracksTuples(config.semantics)) {
         message.root_id =
             engine_->next_root_id_.fetch_add(1, std::memory_order_relaxed);
         engine_->inflight_roots_.fetch_add(1, std::memory_order_relaxed);
@@ -237,9 +194,8 @@ class TopologyEngine::TaskCollector : public StageCollector,
     const uint64_t root = message.root_id;
     const uint64_t edge_xor =
         task_->fused_next != nullptr
-            ? engine_->graph_.SendTo(task_, task_->fused_next,
-                                     std::move(message), this)
-            : engine_->graph_.Send(task_, std::move(message), this);
+            ? SendTo(task_->fused_next, std::move(message))
+            : Send(std::move(message));
     total_emitted_++;
     unflushed_emits_++;
 
@@ -270,43 +226,28 @@ class TopologyEngine::TaskCollector : public StageCollector,
       FlushSlot(slot);
     }
     if (task_->fused_next != nullptr && BarrierArrives()) {
-      engine_->CutEpoch(TaskOf(task_->fused_next), epoch);
+      engine_->CutEpoch(task_->fused_next, epoch);
     }
   }
 
-  /// AckSink: a bolt hop's kUpdate joins the staged acker traffic.
-  void Ack(uint64_t root, uint64_t value) override {
+  /// A queued bolt hop's ack (kUpdate) joins the staged acker traffic.
+  void Ack(uint64_t root, uint64_t value) {
     acker_staging_.push_back(AckerEvent{AckerEvent::kUpdate, root, value, 0});
   }
 
-  /// The wire of Send and SendTo. A routed copy is staged for `target`,
-  /// flushing the slot when it reaches the batch size. The fused consumer
-  /// runs inline instead, and its ack comes back for this task's edge XOR.
-  uint64_t Deliver(StageTask* target, Message&& message) {
-    if (target == task_->fused_next) {
-      return engine_->ExecuteFused(TaskOf(target), message);
-    }
-    StagingSlot& slot = slots_[slot_of_task_[target->global_index]];
-    slot.buffer.push_back(std::move(message));
-    if (slot.buffer.size() >= batch_size_) FlushSlot(slot);
-    return 0;
-  }
-
-  /// A fused hop executed this task inline; the count is published with
-  /// the next flush, like emissions.
-  void CountFusedExecute() { unflushed_executed_++; }
+  /// The stage runner executed this task once; the count is published
+  /// with the next flush, like emissions.
+  void CountExecuted() { unflushed_executed_++; }
 
   /// Flushes every staging buffer, the emitted- and executed-counter
-  /// deltas, and staged acker events. Must run before the owning thread blocks on anything a
-  /// staged tuple could be needed to unblock (execute-batch end, spout
-  /// throttle wait, shutdown).
+  /// deltas, and staged acker events. Must run before the owning thread
+  /// blocks on anything a staged tuple could be needed to unblock
+  /// (execute-batch end, spout throttle wait, shutdown).
   void FlushAll() {
     // A fused consumer's collector flushes first: it may have staged tuples
     // toward queued edges further down, and those obey the same
     // flush-before-blocking contract.
-    if (task_->fused_next != nullptr) {
-      TaskOf(task_->fused_next)->collector->FlushAll();
-    }
+    if (task_->fused_next != nullptr) task_->fused_next->collector->FlushAll();
     for (StagingSlot& slot : slots_) FlushSlot(slot);
     if (unflushed_emits_ > 0) {
       task_->metrics->IncEmitted(unflushed_emits_);
@@ -328,6 +269,77 @@ class TopologyEngine::TaskCollector : public StageCollector,
     std::vector<Message> buffer;
   };
 
+  /// Routes one emission — `message` carries the tuple and the producer's
+  /// stamps (root, latency, trace) — and sends a copy to each routed
+  /// target. Returns the XOR of what SendTo returned.
+  uint64_t Send(Message&& message) {
+    std::vector<Task*>& targets = task_->route_scratch;
+    targets.clear();
+    engine_->graph_.Route(task_, message.tuple, task_->rng, &targets);
+    if (targets.empty()) return 0;
+    uint64_t edge_xor = 0;
+    for (size_t i = 0; i + 1 < targets.size(); i++) {
+      edge_xor ^= SendTo(targets[i], Message(message));
+    }
+    return edge_xor ^ SendTo(targets.back(), std::move(message));
+  }
+
+  /// One delivery to `target`, the per-target step routed edges take and a
+  /// fused producer takes directly with its one consumer: transport draws,
+  /// then per arriving copy a fresh edge id when the root is tracked, and
+  /// Deliver. Returns the XOR of every edge id created (a dropped copy
+  /// still creates one) and of every fused consumer's ack.
+  uint64_t SendTo(Task* target, Message&& message) {
+    const bool tracked = message.root_id != 0;
+    const int copies = engine_->graph_.DrawTransport(task_);
+    // Transport loss: the edge id is anchored but the message never
+    // arrives — like a packet dropped after send. The ledger holds a bit
+    // no execution will clear, so under at-least-once the root times out
+    // and the spout's OnFail replays it.
+    if (copies == 0) return tracked ? engine_->graph_.NextEdgeId(task_) : 0;
+    message.producer_task = static_cast<uint32_t>(task_->global_index);
+    // Traced path only: timestamp the enqueue (queue-wait = dequeue -
+    // enqueue at the consumer).
+    if (message.trace_id != 0) {
+      message.trace_enqueue_nanos = engine_->NowNanos();
+    }
+    // A duplicate is a redelivery with its own ledger entry, so the XOR
+    // accounting stays balanced while downstream genuinely sees the tuple
+    // twice — the duplication at-least-once permits and DedupLedger exists
+    // to suppress. It goes first, then the original moves on.
+    uint64_t edge_xor = 0;
+    if (copies == 2) {
+      Message duplicate = message;
+      duplicate.edge_id = tracked ? engine_->graph_.NextEdgeId(task_) : 0;
+      edge_xor = duplicate.edge_id;
+      edge_xor ^= Deliver(target, std::move(duplicate));
+    }
+    message.edge_id = tracked ? engine_->graph_.NextEdgeId(task_) : 0;
+    edge_xor ^= message.edge_id;
+    return edge_xor ^ Deliver(target, std::move(message));
+  }
+
+  /// A routed copy is staged for `target`, flushing the slot when it
+  /// reaches the batch size. The fused consumer (DESIGN.md §13) runs inline
+  /// instead, through the stage runner on this thread — the same code as a
+  /// queued delivery and so the same per-site draws — and its ack comes
+  /// back for this task's edge XOR instead of the acker: a success clears
+  /// the edge id SendTo allocated, a failure (throw, crash, lost ack)
+  /// leaves it there, as a queued hop leaves its own in the acker's
+  /// ledger. A crash restarts the bolt in place (this thread IS the
+  /// consumer's "process"; later tuples meet the fresh instance).
+  uint64_t Deliver(Task* target, Message&& message) {
+    if (target == task_->fused_next) {
+      uint64_t ack = 0;
+      engine_->RunStage(target, message, &ack);
+      return ack;
+    }
+    StagingSlot& slot = slots_[slot_of_task_[target->global_index]];
+    slot.buffer.push_back(std::move(message));
+    if (slot.buffer.size() >= batch_size_) FlushSlot(slot);
+    return 0;
+  }
+
   /// One (barrier, target) fault decision: the drawn delay (slept here),
   /// then whether the marker reaches that target. A lost marker starves a
   /// queued target's alignment on the epoch until the timeout
@@ -336,10 +348,7 @@ class TopologyEngine::TaskCollector : public StageCollector,
   bool BarrierArrives() {
     FaultSite* faults = task_->barrier_faults.get();
     if (faults == nullptr) return true;
-    const uint32_t delay_us = faults->BarrierDelayMicros();
-    if (delay_us > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
-    }
+    StageGraph::Sleep(faults->BarrierDelayMicros());
     return !faults->FireBarrierDrop();
   }
 
@@ -384,6 +393,11 @@ class TopologyEngine::TaskCollector : public StageCollector,
   std::vector<StagingSlot> slots_;
   std::vector<int32_t> slot_of_task_;  // global task index -> slot or -1.
   std::vector<AckerEvent> acker_staging_;
+  uint64_t root_ = 0;
+  uint64_t emit_time_ = 0;
+  uint64_t trace_id_ = 0;
+  uint64_t span_ = 0;
+  uint64_t xor_out_ = 0;
   uint64_t total_emitted_ = 0;
   uint64_t unflushed_emits_ = 0;
   uint64_t unflushed_executed_ = 0;
@@ -394,29 +408,27 @@ TopologyEngine::TopologyEngine(Topology topology, EngineConfig config)
     : topology_(std::move(topology)),
       config_(config),
       clock_(config.clock != nullptr ? config.clock : Clock::Steady()),
-      graph_(config_, clock_, /*live=*/true) {}
+      graph_(config_) {}
 
 TopologyEngine::~TopologyEngine() = default;
 
 uint64_t TopologyEngine::NowNanos() const { return clock_->NowNanos(); }
 
 void TopologyEngine::BuildTasks() {
-  graph_.Build(topology_, &metrics_, [this] {
-    tasks_.push_back(std::make_unique<Task>());
-    return tasks_.back().get();
-  });
+  graph_.Build(topology_, &metrics_);
+  const std::vector<std::unique_ptr<Task>>& tasks = graph_.tasks();
   // Input channels: a bolt task whose input has exactly one producer task
   // gets the lock-free SPSC ring (dedicated mode only — both endpoints are
   // single threads there); everything else gets the MPMC blocking queue.
   // Fused consumers have no input channel at all: their tuples arrive as
   // inline calls on their producer's thread.
-  std::vector<bool> fused_consumer(tasks_.size(), false);
-  for (auto& task : tasks_) {
+  std::vector<bool> fused_consumer(tasks.size(), false);
+  for (const auto& task : tasks) {
     if (task->fused_next != nullptr) {
       fused_consumer[task->fused_next->global_index] = true;
     }
   }
-  for (auto& task : tasks_) {
+  for (const auto& task : tasks) {
     if (task->bolt == nullptr || fused_consumer[task->global_index]) continue;
     const uint64_t producers = graph_.producer_tasks(task->component_index);
     if (config_.enable_spsc && config_.mode == ExecutionMode::kDedicated &&
@@ -431,14 +443,14 @@ void TopologyEngine::BuildTasks() {
       // Alignment spans *producer tasks*, not components: every producer
       // task's collector broadcasts each barrier to every consumer task.
       task->aligner = std::make_unique<EpochAligner>(
-          producers,
-          static_cast<uint64_t>(config_.epoch_align_timeout_seconds * 1e9),
+          producers, TimeoutNanos(config_.epoch_align_timeout_seconds),
           config_.resume_from_epoch);
     }
   }
 
-  for (auto& task : tasks_) {
-    task->collector = std::make_unique<TaskCollector>(this, task.get());
+  for (const auto& task : tasks) {
+    collectors_.push_back(std::make_unique<TaskCollector>(this, task.get()));
+    task->collector = collectors_.back().get();
   }
   metrics_.Freeze();
   telemetry_.Bind(&metrics_, config_.telemetry_sample_interval_ms,
@@ -452,8 +464,8 @@ void TopologyEngine::BuildTasks() {
 void TopologyEngine::StartSampler() {
   if (config_.telemetry_sample_interval_ms == 0) return;
   std::vector<MetricsSampler::Probe> probes;
-  probes.reserve(tasks_.size());
-  for (auto& task : tasks_) {
+  probes.reserve(graph_.tasks().size());
+  for (const auto& task : graph_.tasks()) {
     MetricsSampler::Probe probe;
     probe.metrics = task->metrics;
     if (task->HasInput()) {
@@ -476,8 +488,8 @@ void TopologyEngine::DrainTraces() {
   std::vector<TraceEvent> events;
   uint64_t dropped = 0;
   std::vector<std::string> task_components;
-  task_components.reserve(tasks_.size());
-  for (auto& task : tasks_) {
+  task_components.reserve(graph_.tasks().size());
+  for (const auto& task : graph_.tasks()) {
     task_components.push_back(task->metrics->component());
     std::vector<TraceEvent> drained = task->trace_ring->Drain();
     events.insert(events.end(), drained.begin(), drained.end());
@@ -500,12 +512,12 @@ void TopologyEngine::PrepareOnThread(Task* task) {
   }
   task->last_snapshot_epoch = config_.resume_from_epoch;
   RestoreEpochFrame(task);
-  if (task->fused_next != nullptr) PrepareOnThread(TaskOf(task->fused_next));
+  if (task->fused_next != nullptr) PrepareOnThread(task->fused_next);
 }
 
 void TopologyEngine::SpoutLoop(Task* task) {
   PrepareOnThread(task);
-  TaskCollector* collector = task->collector.get();
+  TaskCollector* collector = task->collector;
   const size_t batch = std::max<size_t>(1, config_.emit_batch_size);
   const bool track = TracksTuples(config_.semantics);
   // Barrier injection cadence: epoch e's marker follows this spout's
@@ -538,6 +550,13 @@ void TopologyEngine::SpoutLoop(Task* task) {
         break;  // Idle poll: flush promptly instead of batching waits.
       }
       while (epoch_k > 0 && collector->total_emitted() >= next_barrier_at) {
+        // The cut is a record in this task's stream, so a replay cuts the
+        // epoch at the same point of the emission sequence.
+        if (config_.recorder != nullptr) {
+          config_.recorder->RecordEmission(
+              static_cast<uint32_t>(task->global_index),
+              Tuple::Barrier(next_epoch));
+        }
         CutEpoch(task, next_epoch);
         next_epoch++;
         next_barrier_at += epoch_k;
@@ -565,14 +584,13 @@ void TopologyEngine::ExecuteBatch(Task* task, std::span<Message> batch) {
     return;
   }
   size_t consumed = 0;  // Messages leaving the pending count this call.
-  size_t executed = 0;
   bool crashed = false;
   for (Message& message : batch) {
     if (!crashed && task->aligner != nullptr) {
       if (message.tuple.IsBarrier()) {
         consumed++;
         HandleBarrier(task, message.producer_task,
-                      message.tuple.barrier_epoch(), &executed, &crashed);
+                      message.tuple.barrier_epoch(), &crashed);
         continue;
       }
       if (task->aligner->ShouldHold(message.producer_task)) {
@@ -589,7 +607,7 @@ void TopologyEngine::ExecuteBatch(Task* task, std::span<Message> batch) {
     // After a crash the rest of the popped batch dies with the task — the
     // in-memory input of a dead process, never executed and never acked;
     // at-least-once replays it via the ack timeout.
-    if (!crashed) crashed = ExecuteQueued(task, message, &executed);
+    if (!crashed) crashed = RunStage(task, message, nullptr);
   }
   if (crashed && !task->held.empty()) {
     // Held input dies with the crashed task too.
@@ -600,20 +618,72 @@ void TopologyEngine::ExecuteBatch(Task* task, std::span<Message> batch) {
   // Children enqueue (and acker events post) before the parents' pending
   // count releases, so pending_messages_ == 0 always means fully drained.
   task->collector->FlushAll();
-  task->metrics->IncExecuted(executed);
   FinishPending(consumed);
 }
 
-/// Runs one queued or released message through the stage runner, its ack
-/// landing in the task's acker staging. On a crash the bolt is rebuilt
-/// like a restarted worker and the caller drops the input it still holds.
-bool TopologyEngine::ExecuteQueued(Task* task, const Message& message,
-                                   size_t* executed) {
-  TaskCollector* collector = task->collector.get();
-  const StageOutcome outcome = graph_.Run(task, message, collector, collector);
-  if (outcome == StageOutcome::kFailed) return false;
-  (*executed)++;
-  if (outcome == StageOutcome::kOk) return false;
+/// The stage runner: every tuple delivered to a bolt — queued, released
+/// from an alignment hold, or fused inline — executes here, drawing on the
+/// consuming thread in one fixed order: stall, throw, Execute, crash if
+/// nothing threw, acker loss if the tuple is tracked and nothing crashed.
+/// Records the hop's trace span and latency. A successful hop's ack
+/// (its edge id ^ its children's ids) joins the task's acker staging, or
+/// XORs into `*fused_ack` on a fused hop. A hop that threw, crashed or lost
+/// its ack lands nothing: its own edge id stays in the root's ledger, so
+/// the root fails. A hop that did not throw counts as executed; on a crash
+/// the bolt is rebuilt like a restarted worker, and the runner returns
+/// true so the caller drops the input the dead task still held.
+inline bool TopologyEngine::RunStage(Task* task, const Message& m,
+                                     uint64_t* fused_ack) {
+  const bool throw_now = graph_.StallThenDrawThrow(task);
+  // Tracing costs exactly this one branch on untraced tuples; traced hops
+  // pay the span allocation and two clock reads.
+  uint64_t span = 0;
+  uint64_t execute_start = 0;
+  if (m.trace_id != 0) {
+    span = graph_.NextSpanId();
+    execute_start = NowNanos();
+  }
+  TaskCollector* out = task->collector;
+  out->Begin(m, span);
+  bool ok = true;
+  try {
+    if (throw_now) throw InjectedBoltError("injected bolt failure");
+    task->bolt->Execute(m.tuple, out);
+  } catch (...) {
+    // A throwing Execute fails the tuple, never the engine: no ack lands,
+    // and under at-least-once the root times out into the spout's OnFail.
+    ok = false;
+    task->metrics->IncBoltExceptions();
+  }
+  const uint64_t xor_out = out->End();
+  if (!ok) return false;
+  out->CountExecuted();
+  if (m.trace_id != 0) {
+    task->trace_ring->Record(TraceEvent{
+        m.trace_id, span, m.trace_parent_span,
+        static_cast<uint32_t>(task->global_index), execute_start,
+        execute_start - m.trace_enqueue_nanos, NowNanos() - execute_start});
+  }
+  if (m.emit_time_nanos > 0) {
+    task->metrics->RecordLatencyNanos(NowNanos() - m.emit_time_nanos);
+  }
+  // The crash draw sits between Execute and the ack — the MillWheel torn
+  // window. The completed Execute's state mutations (and any checkpoint
+  // Put) survive, but the ack dies with the "process", so the root
+  // replays into restored state: exactly the duplicate-delivery case
+  // checkpoint-then-ack dedup (DedupLedger) must absorb. An acker-loss
+  // fault loses the ack in transit instead: the root stays unresolved
+  // until the timeout fails it back to the spout.
+  const StageGraph::Fate fate = graph_.DrawFate(task, m.root_id != 0);
+  if (m.root_id != 0 && fate == StageGraph::Fate::kAck) {
+    const uint64_t value = m.edge_id ^ xor_out;
+    if (fused_ack != nullptr) {
+      *fused_ack ^= value;
+    } else {
+      out->Ack(m.root_id, value);
+    }
+  }
+  if (fate != StageGraph::Fate::kCrash) return false;
   RestartBolt(task);
   return true;
 }
@@ -628,25 +698,6 @@ void TopologyEngine::FinishPending(size_t n) {
   }
 }
 
-/// A fused hop's consumer side: the stage runner on the producer's thread,
-/// the same code as a queued delivery and so the same per-site draws. The
-/// hop's ack returns to the producer's edge XOR instead of the acker: a
-/// success clears the edge id SendTo allocated, a failure (throw, crash,
-/// lost ack) leaves it there, as a queued hop leaves its own in the
-/// acker's ledger. A crash restarts the bolt in place (the producer's
-/// thread IS this "process"; later tuples meet the fresh instance).
-uint64_t TopologyEngine::ExecuteFused(Task* task, const Message& message) {
-  struct : AckSink {
-    uint64_t value = 0;
-    void Ack(uint64_t, uint64_t v) override { value ^= v; }
-  } acks;
-  const StageOutcome outcome =
-      graph_.Run(task, message, task->collector.get(), &acks);
-  if (outcome != StageOutcome::kFailed) task->collector->CountFusedExecute();
-  if (outcome == StageOutcome::kCrashed) RestartBolt(task);
-  return acks.value;
-}
-
 /// The fused batch path: one dispatch, one ack-staging pass for the whole
 /// batch — but the runner's draw steps PER MESSAGE, in the runner's order
 /// (stall, throw, then crash and acker loss for a message that did not
@@ -659,7 +710,7 @@ uint64_t TopologyEngine::ExecuteFused(Task* task, const Message& message) {
 /// it before execution. Only reached for batch-capable bolts (pure
 /// accumulators that never emit from execution) on fully untraced batches.
 void TopologyEngine::ExecuteBatchFused(Task* task, std::span<Message> batch) {
-  TaskCollector* collector = task->collector.get();
+  TaskCollector* collector = task->collector;
   // ack_lost[i]: message i's ack drew the acker-loss fault (sized only
   // when faults are on). The first crash ends the draws for the batch (the
   // scalar loop stops executing on a crash, leaving the remainder undrawn).
@@ -734,12 +785,11 @@ void TopologyEngine::ExecuteBatchFused(Task* task, std::span<Message> batch) {
 /// in every slot), then release held input (its emissions land after the
 /// barrier, in the next epoch — matching the tags the data carries).
 void TopologyEngine::HandleBarrier(Task* task, uint32_t producer,
-                                   uint64_t epoch, size_t* executed,
-                                   bool* crashed) {
+                                   uint64_t epoch, bool* crashed) {
   const uint64_t snap = task->aligner->OnBarrier(producer, epoch, NowNanos());
   if (snap == 0) return;
   CutEpoch(task, snap);
-  ReleaseHeld(task, snap + 1, executed, crashed);
+  ReleaseHeld(task, snap + 1, crashed);
 }
 
 /// Executes (and finishes) every held message with tag <= max_tag,
@@ -747,7 +797,7 @@ void TopologyEngine::HandleBarrier(Task* task, uint32_t producer,
 /// held input, released or not — it was the in-memory input of the dead
 /// task.
 void TopologyEngine::ReleaseHeld(Task* task, uint64_t max_tag,
-                                 size_t* executed, bool* crashed) {
+                                 bool* crashed) {
   if (task->held.empty()) return;
   size_t finished = 0;
   size_t kept = 0;
@@ -761,7 +811,7 @@ void TopologyEngine::ReleaseHeld(Task* task, uint64_t max_tag,
       continue;
     }
     finished++;
-    if (!*crashed) *crashed = ExecuteQueued(task, task->held[i], executed);
+    if (!*crashed) *crashed = RunStage(task, task->held[i], nullptr);
   }
   if (*crashed && kept > 0) {
     finished += kept;
@@ -779,11 +829,9 @@ void TopologyEngine::ReleaseHeld(Task* task, uint64_t max_tag,
 /// guarantees the loop exit never strands pending counts.
 void TopologyEngine::FlushHeld(Task* task) {
   if (task->aligner == nullptr || task->held.empty()) return;
-  size_t executed = 0;
   bool crashed = false;
-  ReleaseHeld(task, UINT64_MAX, &executed, &crashed);
+  ReleaseHeld(task, UINT64_MAX, &crashed);
   task->collector->FlushAll();
-  task->metrics->IncExecuted(executed);
 }
 
 /// Alignment-timeout recovery: a barrier lost or badly delayed toward this
@@ -798,12 +846,10 @@ void TopologyEngine::MaybeEpochTimeout(Task* task) {
   if (!task->aligner->TimedOut(NowNanos())) return;
   const uint64_t forced = task->aligner->ForceAdvance();
   epoch_timeouts_.fetch_add(1, std::memory_order_relaxed);
-  size_t executed = 0;
   bool crashed = false;
   task->collector->EmitBarrier(forced);
-  ReleaseHeld(task, forced + 1, &executed, &crashed);
+  ReleaseHeld(task, forced + 1, &crashed);
   task->collector->FlushAll();
-  task->metrics->IncExecuted(executed);
 }
 
 /// One task's epoch cut: snapshot, store the frame, ack the epoch to the
@@ -952,31 +998,8 @@ void TopologyEngine::MultiplexedWorkerLoop(const std::vector<Task*>& tasks) {
 }
 
 void TopologyEngine::AckerLoop() {
-  struct RootEntry {
-    uint64_t value = 0;
-    size_t spout_task = 0;
-    bool initialized = false;
-    uint64_t created_nanos = 0;
-  };
-  std::unordered_map<uint64_t, RootEntry> ledger;
-  const uint64_t timeout_nanos =
-      static_cast<uint64_t>(config_.ack_timeout_seconds * 1e9);
+  const uint64_t timeout_nanos = TimeoutNanos(config_.ack_timeout_seconds);
   uint64_t last_scan = NowNanos();
-
-  auto resolve = [&](uint64_t root, RootEntry& entry, bool success) {
-    Task* spout_task = tasks_[entry.spout_task].get();
-    if (success) {
-      completed_roots_.fetch_add(1, std::memory_order_relaxed);
-      spout_task->metrics->IncAcked();
-      spout_task->spout->OnAck(root);
-    } else {
-      failed_roots_.fetch_add(1, std::memory_order_relaxed);
-      spout_task->metrics->IncFailed();
-      spout_task->spout->OnFail(root);
-    }
-    inflight_roots_.fetch_sub(1, std::memory_order_relaxed);
-  };
-
   std::vector<AckerEvent> events;
   events.reserve(1024);
   while (true) {
@@ -986,75 +1009,121 @@ void TopologyEngine::AckerLoop() {
     const size_t n = acker_queue_->PopBatchWithTimeout(
         events, 1024, std::chrono::milliseconds(5));
     if (n == 0 && acker_queue_->Closed()) break;
-    bool resolved_any = false;
-    for (const AckerEvent& event : events) {
-      RootEntry& entry = ledger[event.root_id];
-      entry.value ^= event.xor_value;
-      if (event.kind == AckerEvent::kInit) {
-        entry.initialized = true;
-        entry.spout_task = event.spout_task;
-        entry.created_nanos = NowNanos();
-      }
-      if (entry.initialized && entry.value == 0) {
-        resolve(event.root_id, entry, /*success=*/true);
-        ledger.erase(event.root_id);
-        resolved_any = true;
-      }
-    }
+    bool resolved_any = ApplyAckerEvents(events);
     // Periodic timeout scan.
     const uint64_t now = NowNanos();
     if (now - last_scan > timeout_nanos / 4 + 1000000) {
       last_scan = now;
-      for (auto it = ledger.begin(); it != ledger.end();) {
-        if (it->second.initialized &&
-            now - it->second.created_nanos > timeout_nanos) {
-          resolve(it->first, it->second, /*success=*/false);
-          it = ledger.erase(it);
-          resolved_any = true;
-        } else {
-          ++it;
-        }
-      }
+      resolved_any |= FailRoots(now > timeout_nanos ? now - timeout_nanos : 0);
     }
     if (resolved_any) {
       progress_cv_.notify_all();  // Throttled spouts / the drain wait.
     }
   }
   // Shutdown: anything left unresolved fails.
-  bool resolved_any = false;
-  for (auto& [root, entry] : ledger) {
-    if (entry.initialized) {
-      resolve(root, entry, /*success=*/false);
-      resolved_any = true;
-    }
-  }
-  if (resolved_any) progress_cv_.notify_all();
+  if (FailRoots(UINT64_MAX)) progress_cv_.notify_all();
 }
 
-void TopologyEngine::Run() {
+/// Folds acker events into the ledger; true if any root completed.
+bool TopologyEngine::ApplyAckerEvents(std::span<const AckerEvent> events) {
+  bool resolved = false;
+  for (const AckerEvent& event : events) {
+    RootEntry& entry = roots_[event.root_id];
+    entry.value ^= event.xor_value;
+    if (event.kind == AckerEvent::kInit) {
+      entry.initialized = true;
+      entry.spout_task = event.spout_task;
+      entry.created_nanos = NowNanos();
+    }
+    if (entry.initialized && entry.value == 0) {
+      ResolveRoot(event.root_id, entry.spout_task, /*success=*/true);
+      roots_.erase(event.root_id);
+      resolved = true;
+    }
+  }
+  return resolved;
+}
+
+/// Fails every registered root created before `created_before`; true if
+/// any did.
+bool TopologyEngine::FailRoots(uint64_t created_before) {
+  bool resolved = false;
+  for (auto it = roots_.begin(); it != roots_.end();) {
+    if (it->second.initialized && it->second.created_nanos < created_before) {
+      ResolveRoot(it->first, it->second.spout_task, /*success=*/false);
+      it = roots_.erase(it);
+      resolved = true;
+    } else {
+      ++it;
+    }
+  }
+  return resolved;
+}
+
+void TopologyEngine::ResolveRoot(uint64_t root, size_t spout_task,
+                                 bool success) {
+  Task* task = graph_.tasks()[spout_task].get();
+  if (success) {
+    completed_roots_.fetch_add(1, std::memory_order_relaxed);
+    task->metrics->IncAcked();
+    task->spout->OnAck(root);
+  } else {
+    failed_roots_.fetch_add(1, std::memory_order_relaxed);
+    task->metrics->IncFailed();
+    task->spout->OnFail(root);
+  }
+  inflight_roots_.fetch_sub(1, std::memory_order_relaxed);
+}
+
+Status TopologyEngine::Start() {
   STREAMLIB_CHECK_MSG(!ran_, "TopologyEngine is single-use");
   ran_ = true;
-  const Status config_status = config_.Validate();
-  STREAMLIB_CHECK_MSG(config_status.ok(), "invalid EngineConfig: %s",
-                      config_status.ToString().c_str());
+  STREAMLIB_RETURN_NOT_OK(config_.Validate());
+  const uint64_t resume = config_.resume_from_epoch;
+  if (resume > 0 &&
+      !config_.checkpoint_store->Get(EpochCompleteKey(resume)).has_value()) {
+    return Status::FailedPrecondition(
+        "resume_from_epoch " + std::to_string(resume) +
+        " was never marked complete");
+  }
   BuildTasks();
   if (config_.epoch_interval_tuples > 0) {
     // Every task (spouts included) acks every epoch; the coordinator marks
     // an epoch complete — restorable — only on the full set.
     coordinator_ = std::make_unique<CheckpointCoordinator>(
-        config_.checkpoint_store, tasks_.size(), config_.resume_from_epoch);
-  }
-  if (config_.resume_from_epoch > 0) {
-    STREAMLIB_CHECK_MSG(
-        config_.checkpoint_store->Get(EpochCompleteKey(config_.resume_from_epoch))
-            .has_value(),
-        "resume_from_epoch %llu was never marked complete",
-        static_cast<unsigned long long>(config_.resume_from_epoch));
+        config_.checkpoint_store, graph_.tasks().size(),
+        config_.resume_from_epoch);
   }
   StartSampler();
-
   if (TracksTuples(config_.semantics)) {
     acker_queue_ = std::make_unique<BlockingQueue<AckerEvent>>(1 << 16);
+  }
+  return Status::OK();
+}
+
+void TopologyEngine::Finish() {
+  graph_.RunFinishPass();
+
+  // Telemetry epilogue: final tail sample (so delta sums equal the final
+  // counters, finish-pass emissions included), then merge the per-task
+  // trace rings into span trees — all writers have joined by now.
+  if (sampler_) sampler_->Stop();
+  DrainTraces();
+
+  // Attach the run's final counters to the recording so a replay can be
+  // verified against the original from the file alone. The caller still
+  // owns Finalize().
+  if (config_.recorder != nullptr) {
+    config_.recorder->SetSummary(SummarizeRun(
+        completed_roots(), failed_roots(), graph_.fault_plan(), metrics_));
+  }
+}
+
+void TopologyEngine::Run() {
+  const Status started = Start();
+  STREAMLIB_CHECK_MSG(started.ok(), "cannot run the topology: %s",
+                      started.ToString().c_str());
+  if (acker_queue_ != nullptr) {
     acker_thread_ = std::thread([this] { AckerLoop(); });
   }
 
@@ -1062,7 +1131,7 @@ void TopologyEngine::Run() {
   // channel to drain or close) — they execute inline on their producer's
   // thread.
   std::vector<Task*> bolt_tasks;
-  for (const auto& task : tasks_) {
+  for (const auto& task : graph_.tasks()) {
     if (task->HasInput()) bolt_tasks.push_back(task.get());
   }
   if (config_.mode == ExecutionMode::kDedicated) {
@@ -1087,7 +1156,7 @@ void TopologyEngine::Run() {
 
   // Spouts.
   std::vector<std::thread> spout_threads;
-  for (const auto& task : tasks_) {
+  for (const auto& task : graph_.tasks()) {
     if (task->spout != nullptr) {
       spout_threads.emplace_back([this, t = task.get()] { SpoutLoop(t); });
     }
@@ -1115,26 +1184,68 @@ void TopologyEngine::Run() {
   for (auto& t : threads_) t.join();
   threads_.clear();
 
-  if (TracksTuples(config_.semantics)) {
+  if (acker_queue_ != nullptr) {
     acker_queue_->Close();
     acker_thread_.join();
   }
+  Finish();
+}
 
-  graph_.RunFinishPass();
+// ------------------------------------------------------- stepped scheduler
 
-  // Telemetry epilogue: final tail sample (so delta sums equal the final
-  // counters, finish-pass emissions included), then merge the per-task
-  // trace rings into span trees — all writers have joined by now.
-  if (sampler_) sampler_->Stop();
-  DrainTraces();
-
-  // Attach the run's final counters to the recording so a replay can be
-  // verified against the original from the file alone. The caller still
-  // owns Finalize().
-  if (config_.recorder != nullptr) {
-    config_.recorder->SetSummary(SummarizeRun(
-        completed_roots(), failed_roots(), graph_.fault_plan(), metrics_));
+Status TopologyEngine::StartStepped() {
+  STREAMLIB_RETURN_NOT_OK(Start());
+  // Every task a threaded run gives a thread prepares here, in index order.
+  for (const auto& task : graph_.tasks()) {
+    if (task->spout != nullptr || task->HasInput()) PrepareOnThread(task.get());
   }
+  return Status::OK();
+}
+
+/// One spout record: an emission enters through the task's collector as
+/// its NextTuple's would, a barrier is the task's epoch cut.
+void TopologyEngine::StepRecord(size_t spout_task, const Tuple& tuple) {
+  Task* task = graph_.tasks()[spout_task].get();
+  if (tuple.IsBarrier()) {
+    CutEpoch(task, tuple.barrier_epoch());
+  } else {
+    task->collector->Emit(tuple);
+  }
+  task->collector->FlushAll();
+  SettleStep();
+}
+
+Task* TopologyEngine::NextQueued() const {
+  for (const auto& task : graph_.tasks()) {
+    if (task->queue != nullptr && task->queue->Size() > 0) return task.get();
+  }
+  return nullptr;
+}
+
+void TopologyEngine::StepQueued(Task* task) {
+  std::vector<Message> one;
+  task->queue->TryPopBatch(one, 1);
+  ExecuteBatch(task, std::span<Message>(one));
+  SettleStep();
+}
+
+size_t TopologyEngine::QueuedMessages() const {
+  size_t total = 0;
+  for (const auto& task : graph_.tasks()) {
+    if (task->queue != nullptr) total += task->queue->Size();
+  }
+  return total;
+}
+
+/// The stepped acker: a unit's staged events settle in the ledger at once,
+/// and once nothing is queued every root still open fails — its tree has
+/// drained, where a threaded run waits out the ack timeout instead.
+void TopologyEngine::SettleStep() {
+  if (acker_queue_ == nullptr) return;
+  std::vector<AckerEvent> events;
+  acker_queue_->TryPopBatch(events, SIZE_MAX);
+  ApplyAckerEvents(events);
+  if (QueuedMessages() == 0) FailRoots(UINT64_MAX);
 }
 
 }  // namespace streamlib::platform

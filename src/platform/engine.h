@@ -8,6 +8,7 @@
 #include <mutex>
 #include <span>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -102,9 +103,10 @@ struct EngineConfig {
   /// builds no sites or hooks. See fault.h for the determinism model.
   FaultSpec faults;
   /// Flight recorder (recorder.h): when set, every spout emission is
-  /// captured before routing, and Run() attaches the final counters as the
-  /// recording's summary. Not owned; the caller Finalize()s after Run().
-  /// Null (the default) records nothing and costs one branch per emission.
+  /// captured before routing, every spout epoch cut where it happens, and
+  /// Run() attaches the final counters as the recording's summary. Not
+  /// owned; the caller Finalize()s after Run(). Null (the default) records
+  /// nothing and costs one branch per emission.
   RunRecorder* recorder = nullptr;
   /// Epoch-aligned barrier checkpointing (DESIGN.md §12). Spouts inject an
   /// epoch barrier every `epoch_interval_tuples` emissions; bolts align on
@@ -200,9 +202,34 @@ class TopologyEngine {
   }
 
  private:
-  struct Task;
-  class TaskCollector;
+  friend class TaskCollector;
+  // The debugger drives the stepped scheduler below.
+  friend class ReplayEngine;
   struct AckerEvent;
+
+  // Run()'s two phases around its threads. Start validates the config,
+  // builds the tasks and their channels, the epoch coordinator and the
+  // acker queue (failing on an invalid config or a resume epoch that
+  // never completed); Finish runs the finish pass and the telemetry and
+  // recording epilogue.
+  Status Start();
+  void Finish();
+
+  // The stepped scheduler: the same build and finish phases around one
+  // thread instead of many, over a config whose clock is a ManualClock and
+  // whose bolts all have queues (no SPSC rings, no bound). Each unit is one
+  // spout record (an emission, or a barrier: the spout's epoch cut) fed
+  // through the spout task's own collector, or one queued message run
+  // through ExecuteBatch — the lowest-indexed task's oldest. After every
+  // unit the staged acker events settle in the root ledger, and once
+  // nothing is queued every root still open fails.
+  Status StartStepped();
+  void StepRecord(size_t spout_task, const Tuple& tuple);
+  /// The task whose queued message runs next; null when nothing is queued.
+  Task* NextQueued() const;
+  void StepQueued(Task* task);
+  size_t QueuedMessages() const;
+  void SettleStep();
 
   void BuildTasks();
   void StartSampler();
@@ -212,10 +239,11 @@ class TopologyEngine {
   void DedicatedBoltLoop(Task* task);
   void MultiplexedWorkerLoop(const std::vector<Task*>& tasks);
   void AckerLoop();
+  // The root ledger's operations (true when some root resolved).
+  bool ApplyAckerEvents(std::span<const AckerEvent> events);
+  bool FailRoots(uint64_t created_before);
+  void ResolveRoot(uint64_t root, size_t spout_task, bool success);
   void RestartBolt(Task* task);
-  /// The engine's Task behind a StageTask pointer (a route target, a
-  /// `fused_next` link): BuildTasks allocates every task as a Task.
-  static Task* TaskOf(StageTask* task);
 
   /// Injected time source (config.clock or the steady default).
   uint64_t NowNanos() const;
@@ -224,18 +252,17 @@ class TopologyEngine {
   // included) feeding every message through the stage runner, plus the
   // batch-capable bolts' single-dispatch path.
   void ExecuteBatch(Task* task, std::span<Message> batch);
-  bool ExecuteQueued(Task* task, const Message& message, size_t* executed);
   void ExecuteBatchFused(Task* task, std::span<Message> batch);
   void FinishPending(size_t n);
-  // A fused hop's consumer side (DESIGN.md §13): runs `task` inline on the
-  // producer's thread and returns its ack for the producer's edge XOR.
-  uint64_t ExecuteFused(Task* task, const Message& message);
+
+  // The stage runner every bolt delivery executes through; true when the
+  // task crashed (and was restarted).
+  bool RunStage(Task* task, const Message& m, uint64_t* fused_ack);
 
   // Epoch-barrier plumbing (all no-ops unless epoch_interval_tuples > 0).
   void HandleBarrier(Task* task, uint32_t producer, uint64_t epoch,
-                     size_t* executed, bool* crashed);
-  void ReleaseHeld(Task* task, uint64_t max_tag, size_t* executed,
-                   bool* crashed);
+                     bool* crashed);
+  void ReleaseHeld(Task* task, uint64_t max_tag, bool* crashed);
   void FlushHeld(Task* task);
   void MaybeEpochTimeout(Task* task);
   void CutEpoch(Task* task, uint64_t epoch);
@@ -250,10 +277,10 @@ class TopologyEngine {
   std::atomic<uint64_t> epoch_timeouts_{0};
 
   Clock* clock_;  // Never null after construction; not owned.
-  // Tasks' shared halves, edges, the fusion plan, fault sites, edge ids,
-  // the stage runner and the finish pass (shared with ReplayEngine).
+  // Tasks, edges, the fusion plan, fault sites, routing, edge ids, the
+  // fault draws and the finish pass.
   StageGraph graph_;
-  std::vector<std::unique_ptr<Task>> tasks_;
+  std::vector<std::unique_ptr<TaskCollector>> collectors_;
   size_t spsc_edges_ = 0;
 
   std::atomic<uint64_t> pending_messages_{0};
@@ -272,6 +299,16 @@ class TopologyEngine {
 
   std::unique_ptr<BlockingQueue<AckerEvent>> acker_queue_;
   std::thread acker_thread_;
+  // The XOR root ledger: per tracked root, the running XOR of the edge ids
+  // its tree created and acked; a root whose value returns to zero
+  // completed. The acker thread owns it, or the one stepped thread.
+  struct RootEntry {
+    uint64_t value = 0;
+    size_t spout_task = 0;
+    bool initialized = false;
+    uint64_t created_nanos = 0;
+  };
+  std::unordered_map<uint64_t, RootEntry> roots_;
   std::vector<std::thread> threads_;
   bool ran_ = false;
 };

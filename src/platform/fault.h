@@ -162,8 +162,8 @@ class FaultSite {
   /// 0 = no delay; otherwise the number of microseconds to hold delivery.
   uint32_t DeliveryDelayMicros();
 
-  /// Executor path (the stage runner, StageGraph::Run), consulted per
-  /// delivered tuple — queued, fused or replayed.
+  /// Executor path (the stage runner, TopologyEngine::RunStage), consulted
+  /// per delivered tuple — queued, fused or replayed.
   bool FireBoltThrow();
   /// Consulted after a successful Execute: true = the "process" dies here,
   /// between its state mutation and its ack (the MillWheel torn window).

@@ -1,6 +1,8 @@
 #include "platform/recorder.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <unordered_map>
 #include <utility>
 #include <variant>
 
@@ -14,6 +16,10 @@ namespace {
 constexpr uint8_t kSegMeta = 1;
 constexpr uint8_t kSegRecords = 2;
 constexpr uint8_t kSegEnd = 3;
+
+// Record kinds (part of the persisted format).
+constexpr uint8_t kRecordEmission = 0;
+constexpr uint8_t kRecordBarrier = 1;
 
 // Tuple field tags (part of the persisted format).
 constexpr uint8_t kFieldNull = 0;
@@ -33,6 +39,18 @@ constexpr size_t kMaxPendingSegments = 64;
 // Recycled segment buffers kept beyond this count are freed instead —
 // caps idle memory at ~2 MiB while still absorbing flush bursts.
 constexpr size_t kMaxSpareBuffers = 8;
+
+/// Reads a varint into a 32-bit field: a wider value is Corruption, never
+/// a silent truncation.
+Status GetVarint32(ByteReader& r, uint32_t* out) {
+  uint64_t v = 0;
+  STREAMLIB_RETURN_NOT_OK(r.GetVarint(&v));
+  if (v > UINT32_MAX) {
+    return Status::Corruption("recording: 32-bit field out of range");
+  }
+  *out = static_cast<uint32_t>(v);
+  return Status::OK();
+}
 
 void EncodeConfig(ByteWriter& w, const EngineConfig& c) {
   w.PutU8(static_cast<uint8_t>(c.mode));
@@ -62,6 +80,12 @@ void EncodeConfig(ByteWriter& w, const EngineConfig& c) {
   w.PutDouble(f.queue_stall_prob);
   w.PutVarint(f.queue_stall_micros);
   w.PutDouble(f.acker_loss_prob);
+  w.PutDouble(f.barrier_drop_prob);
+  w.PutDouble(f.barrier_delay_prob);
+  w.PutVarint(f.barrier_delay_max_micros);
+  w.PutVarint(c.epoch_interval_tuples);
+  w.PutDouble(c.epoch_align_timeout_seconds);
+  w.PutVarint(c.resume_from_epoch);
 }
 
 Status DecodeConfig(ByteReader& r, EngineConfig* out) {
@@ -77,19 +101,17 @@ Status DecodeConfig(ByteReader& r, EngineConfig* out) {
   }
   out->mode = static_cast<ExecutionMode>(mode);
   STREAMLIB_RETURN_NOT_OK(r.GetU8(&semantics));
-  if (semantics > static_cast<uint8_t>(DeliverySemantics::kAtLeastOnce)) {
+  if (semantics > static_cast<uint8_t>(DeliverySemantics::kExactlyOnce)) {
     return Status::Corruption("recording: invalid delivery semantics");
   }
   out->semantics = static_cast<DeliverySemantics>(semantics);
   STREAMLIB_RETURN_NOT_OK(r.GetVarint(&v));
   out->queue_capacity = v;
-  STREAMLIB_RETURN_NOT_OK(r.GetVarint(&v));
-  out->multiplexed_threads = static_cast<uint32_t>(v);
+  STREAMLIB_RETURN_NOT_OK(GetVarint32(r, &out->multiplexed_threads));
   STREAMLIB_RETURN_NOT_OK(r.GetVarint(&v));
   out->max_spout_pending = v;
   STREAMLIB_RETURN_NOT_OK(r.GetU64(&out->seed));
-  STREAMLIB_RETURN_NOT_OK(r.GetVarint(&v));
-  out->latency_sample_every = static_cast<uint32_t>(v);
+  STREAMLIB_RETURN_NOT_OK(GetVarint32(r, &out->latency_sample_every));
   STREAMLIB_RETURN_NOT_OK(r.GetDouble(&out->ack_timeout_seconds));
   STREAMLIB_RETURN_NOT_OK(r.GetVarint(&v));
   out->emit_batch_size = v;
@@ -101,25 +123,26 @@ Status DecodeConfig(ByteReader& r, EngineConfig* out) {
   out->enable_bolt_batch = enable_bolt_batch != 0;
   STREAMLIB_RETURN_NOT_OK(r.GetU8(&enable_fusion));
   out->enable_fusion = enable_fusion != 0;
-  STREAMLIB_RETURN_NOT_OK(r.GetVarint(&v));
-  out->telemetry_sample_interval_ms = static_cast<uint32_t>(v);
-  STREAMLIB_RETURN_NOT_OK(r.GetVarint(&v));
-  out->trace_sample_every = static_cast<uint32_t>(v);
+  STREAMLIB_RETURN_NOT_OK(GetVarint32(r, &out->telemetry_sample_interval_ms));
+  STREAMLIB_RETURN_NOT_OK(GetVarint32(r, &out->trace_sample_every));
   FaultSpec& f = out->faults;
   STREAMLIB_RETURN_NOT_OK(r.GetU64(&f.seed));
   STREAMLIB_RETURN_NOT_OK(r.GetDouble(&f.drop_tuple_prob));
   STREAMLIB_RETURN_NOT_OK(r.GetDouble(&f.duplicate_tuple_prob));
   STREAMLIB_RETURN_NOT_OK(r.GetDouble(&f.delay_delivery_prob));
-  STREAMLIB_RETURN_NOT_OK(r.GetVarint(&v));
-  f.delay_max_micros = static_cast<uint32_t>(v);
+  STREAMLIB_RETURN_NOT_OK(GetVarint32(r, &f.delay_max_micros));
   STREAMLIB_RETURN_NOT_OK(r.GetDouble(&f.bolt_throw_prob));
   STREAMLIB_RETURN_NOT_OK(r.GetDouble(&f.task_crash_prob));
-  STREAMLIB_RETURN_NOT_OK(r.GetVarint(&v));
-  f.max_task_crashes = static_cast<uint32_t>(v);
+  STREAMLIB_RETURN_NOT_OK(GetVarint32(r, &f.max_task_crashes));
   STREAMLIB_RETURN_NOT_OK(r.GetDouble(&f.queue_stall_prob));
-  STREAMLIB_RETURN_NOT_OK(r.GetVarint(&v));
-  f.queue_stall_micros = static_cast<uint32_t>(v);
+  STREAMLIB_RETURN_NOT_OK(GetVarint32(r, &f.queue_stall_micros));
   STREAMLIB_RETURN_NOT_OK(r.GetDouble(&f.acker_loss_prob));
+  STREAMLIB_RETURN_NOT_OK(r.GetDouble(&f.barrier_drop_prob));
+  STREAMLIB_RETURN_NOT_OK(r.GetDouble(&f.barrier_delay_prob));
+  STREAMLIB_RETURN_NOT_OK(GetVarint32(r, &f.barrier_delay_max_micros));
+  STREAMLIB_RETURN_NOT_OK(r.GetVarint(&out->epoch_interval_tuples));
+  STREAMLIB_RETURN_NOT_OK(r.GetDouble(&out->epoch_align_timeout_seconds));
+  STREAMLIB_RETURN_NOT_OK(r.GetVarint(&out->resume_from_epoch));
   return Status::OK();
 }
 
@@ -149,13 +172,11 @@ Status DecodeFingerprint(ByteReader& r, TopologyFingerprint* out) {
   for (uint64_t i = 0; i < num_components; ++i) {
     TopologyFingerprint::Component c;
     uint8_t is_spout = 0;
-    uint64_t parallelism = 0;
     uint64_t num_inputs = 0;
     STREAMLIB_RETURN_NOT_OK(r.GetString(&c.name));
     STREAMLIB_RETURN_NOT_OK(r.GetU8(&is_spout));
     c.is_spout = is_spout != 0;
-    STREAMLIB_RETURN_NOT_OK(r.GetVarint(&parallelism));
-    c.parallelism = static_cast<uint32_t>(parallelism);
+    STREAMLIB_RETURN_NOT_OK(GetVarint32(r, &c.parallelism));
     STREAMLIB_RETURN_NOT_OK(r.GetVarint(&num_inputs));
     if (num_inputs > r.remaining()) {
       return Status::Corruption("recording: input count exceeds segment");
@@ -221,7 +242,76 @@ Status DecodeSummary(ByteReader& r, bool* has_summary, RunSummary* out) {
   return Status::OK();
 }
 
+/// Whether global task `task` of the fingerprinted topology is a spout
+/// task.
+bool IsSpoutTask(const TopologyFingerprint& fp, uint64_t task) {
+  for (const TopologyFingerprint::Component& c : fp.components) {
+    if (task < c.parallelism) return c.is_spout;
+    task -= c.parallelism;
+  }
+  return false;
+}
+
+/// Decodes one records segment, checking each record against the meta
+/// segment: it names a spout task, and a barrier — allowed only with
+/// epochs on — carries an epoch above that task's previous cut (above the
+/// resume epoch for its first).
+Status DecodeRecords(ByteReader& r, RecordedRun* run,
+                     std::unordered_map<uint32_t, uint64_t>* last_cut) {
+  uint64_t count = 0;
+  STREAMLIB_RETURN_NOT_OK(r.GetVarint(&count));
+  if (count > r.remaining()) {
+    return Status::Corruption("recording: record count exceeds segment");
+  }
+  run->emissions.reserve(run->emissions.size() + count);
+  for (uint64_t i = 0; i < count; ++i) {
+    RecordedEmission e;
+    uint8_t kind = 0;
+    STREAMLIB_RETURN_NOT_OK(GetVarint32(r, &e.spout_task));
+    if (!IsSpoutTask(run->fingerprint, e.spout_task)) {
+      return Status::Corruption("recording: record names task " +
+                                std::to_string(e.spout_task) +
+                                ", which is not a spout task");
+    }
+    STREAMLIB_RETURN_NOT_OK(r.GetU8(&kind));
+    if (kind == kRecordEmission) {
+      STREAMLIB_RETURN_NOT_OK(DecodeTuple(r, &e.tuple));
+    } else if (kind == kRecordBarrier) {
+      uint64_t epoch = 0;
+      STREAMLIB_RETURN_NOT_OK(r.GetVarint(&epoch));
+      if (run->config.epoch_interval_tuples == 0) {
+        return Status::Corruption("recording: barrier record without epochs");
+      }
+      uint64_t& last =
+          last_cut->try_emplace(e.spout_task, run->config.resume_from_epoch)
+              .first->second;
+      if (epoch <= last) {
+        return Status::Corruption("recording: barrier epochs of task " +
+                                  std::to_string(e.spout_task) +
+                                  " do not increase");
+      }
+      last = epoch;
+      e.tuple = Tuple::Barrier(epoch);
+    } else {
+      return Status::Corruption("recording: unknown record kind");
+    }
+    run->emissions.push_back(std::move(e));
+  }
+  if (!r.AtEnd()) {
+    return Status::Corruption("recording: trailing bytes in records segment");
+  }
+  return Status::OK();
+}
+
 }  // namespace
+
+uint64_t RecordedRun::EmissionCount() const {
+  return static_cast<uint64_t>(
+      std::count_if(emissions.begin(), emissions.end(),
+                    [](const RecordedEmission& e) {
+                      return !e.tuple.IsBarrier();
+                    }));
+}
 
 void EncodeTuple(ByteWriter& w, const Tuple& tuple) {
   w.PutVarint(tuple.size());
@@ -481,7 +571,13 @@ void RunRecorder::RecordEmission(uint32_t spout_task, const Tuple& tuple) {
   }
   Shard& shard = *shards_[spout_task];
   shard.buffer.PutVarint(spout_task);
-  EncodeTuple(shard.buffer, tuple);
+  if (tuple.IsBarrier()) {
+    shard.buffer.PutU8(kRecordBarrier);
+    shard.buffer.PutVarint(tuple.barrier_epoch());
+  } else {
+    shard.buffer.PutU8(kRecordEmission);
+    EncodeTuple(shard.buffer, tuple);
+  }
   ++shard.buffered_records;
   shard.records.store(shard.records.load(std::memory_order_relaxed) + 1,
                       std::memory_order_relaxed);
@@ -692,6 +788,7 @@ Result<RecordedRun> ReadRecording(const std::string& path) {
   bool saw_meta = false;
   bool saw_end = false;
   uint64_t declared_records = 0;
+  std::unordered_map<uint32_t, uint64_t> last_cut;  // Per spout task.
   while (!r.AtEnd()) {
     if (saw_end) {
       return Status::Corruption("recording: bytes after end segment");
@@ -728,24 +825,7 @@ Result<RecordedRun> ReadRecording(const std::string& path) {
         if (!saw_meta) {
           return Status::Corruption("recording: records before meta segment");
         }
-        uint64_t count = 0;
-        STREAMLIB_RETURN_NOT_OK(pr.GetVarint(&count));
-        if (count > pr.remaining()) {
-          return Status::Corruption("recording: record count exceeds segment");
-        }
-        run.emissions.reserve(run.emissions.size() + count);
-        for (uint64_t i = 0; i < count; ++i) {
-          RecordedEmission e;
-          uint64_t task = 0;
-          STREAMLIB_RETURN_NOT_OK(pr.GetVarint(&task));
-          e.spout_task = static_cast<uint32_t>(task);
-          STREAMLIB_RETURN_NOT_OK(DecodeTuple(pr, &e.tuple));
-          run.emissions.push_back(std::move(e));
-        }
-        if (!pr.AtEnd()) {
-          return Status::Corruption(
-              "recording: trailing bytes in records segment");
-        }
+        STREAMLIB_RETURN_NOT_OK(DecodeRecords(pr, &run, &last_cut));
         break;
       }
       case kSegEnd: {

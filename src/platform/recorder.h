@@ -30,29 +30,34 @@ namespace streamlib::platform {
 /// deterministically; the debugger CLI (tools/streamlib_debug.cc) steps
 /// through it.
 ///
-/// ## SLFR file format (version 2)
+/// ## SLFR file format (version 3)
 ///
 ///   file   := header segment*
 ///   header := u32 magic 'SLFR' | u32 version
 ///   segment:= u8 kind | u32 payload_len | u32 crc32(payload) | payload
+///   record := varint spout_task | u8 0 | tuple          (an emission)
+///           | varint spout_task | u8 1 | varint epoch   (an epoch cut)
 ///
 /// Segment kinds: 1 = meta (exactly one, first), 2 = records (zero or
 /// more), 3 = end (exactly one, last). The meta payload serializes the
-/// EngineConfig (enable_fusion included since version 2, so the replayer
-/// builds the live fusion plan) + FaultSpec and a topology fingerprint
-/// (component names, spout/bolt, parallelism, subscriptions); the records
-/// payload is a varint count followed by varint-framed (spout_task, tuple)
-/// records; the end payload carries the total record count and an optional run
-/// summary (root/fault/task counters) so replay results can be verified
-/// against the original run from the file alone. Files are written to a
-/// `.tmp` sibling and renamed into place on Finalize, mirroring
-/// KvCheckpointStore — a crash mid-recording never leaves a torn file at
-/// the target path. Every malformed input to the reader yields a typed
-/// Status (Corruption / InvalidArgument), never UB, matching the
-/// SketchBlob envelope discipline.
+/// EngineConfig + FaultSpec and a topology fingerprint (component names,
+/// spout/bolt, parallelism, subscriptions). Version 2 added enable_fusion,
+/// so the replayer builds the live fusion plan; version 3 added the
+/// barrier faults, epoch_interval_tuples, epoch_align_timeout_seconds and
+/// resume_from_epoch, and the epoch-cut record: each spout task's cut is a
+/// record in its own stream, between the emissions it fell between. The
+/// records payload is a varint count followed by that many records; the
+/// end payload carries the total record count and an optional run summary
+/// (root/fault/task counters) so replay results can be verified against
+/// the original run from the file alone. Files are written to a `.tmp`
+/// sibling and renamed into place on Finalize, mirroring KvCheckpointStore
+/// — a crash mid-recording never leaves a torn file at the target path.
+/// Every malformed input to the reader yields a typed Status (Corruption /
+/// InvalidArgument), never UB, matching the SketchBlob envelope
+/// discipline.
 
 inline constexpr uint32_t kRecordingMagic = 0x52464c53u;  // "SLFR"
-inline constexpr uint32_t kRecordingVersion = 2;
+inline constexpr uint32_t kRecordingVersion = 3;
 
 /// Tuple wire codec shared by the recorder and replayer. One record is
 /// varint field-count then per field a u8 type tag (0 = null, 1 = bool,
@@ -113,8 +118,9 @@ RunSummary SummarizeRun(uint64_t completed_roots, uint64_t failed_roots,
                         const FaultPlan* faults,
                         const MetricsRegistry& metrics);
 
-/// One spout emission as recorded: which spout task produced it, and the
-/// tuple's field values (routing metadata is reconstructed by replay).
+/// One spout record: which spout task produced it, and either an emitted
+/// tuple's field values (routing metadata is reconstructed by replay) or,
+/// as a Tuple::Barrier, the task's cut of that epoch.
 struct RecordedEmission {
   uint32_t spout_task = 0;  // Global task index.
   Tuple tuple;
@@ -122,25 +128,33 @@ struct RecordedEmission {
 
 /// A fully parsed recording.
 struct RecordedRun {
-  EngineConfig config;  // `recorder` pointer is always null after read.
+  // The `recorder` and `checkpoint_store` pointers are null after read.
+  EngineConfig config;
   TopologyFingerprint fingerprint;
-  std::vector<RecordedEmission> emissions;
+  std::vector<RecordedEmission> emissions;  // Every record, in file order.
   bool has_summary = false;
   RunSummary summary;
+
+  /// Records that are emissions, not epoch cuts: what the replay's
+  /// emission counts and indices count.
+  uint64_t EmissionCount() const;
 };
 
 /// Parses an SLFR file. Typed errors: NotFound (missing file), Corruption
-/// (bad magic, truncated segment, CRC mismatch, record-count mismatch,
-/// missing end segment, trailing bytes), InvalidArgument (any version but
-/// kRecordingVersion — a version 1 file, which predates enable_fusion,
+/// (bad magic, truncated segment, CRC mismatch, a 32-bit field out of
+/// range, a record naming a task that is not a spout task, an epoch cut in
+/// a recording without epochs or not above its task's previous cut,
+/// record-count mismatch, missing end segment, trailing bytes),
+/// InvalidArgument (any version but kRecordingVersion — version 1, which
+/// predates enable_fusion, and version 2, which predates epochs,
 /// included).
 Result<RecordedRun> ReadRecording(const std::string& path);
 
 /// Captures a run to disk. Create() writes the header + meta segment to
-/// `<path>.tmp` immediately; RecordEmission() (thread-safe — every spout
-/// task calls it) frames records into an in-memory buffer flushed as a
-/// records segment every ~256 KiB; Finalize() writes the end segment and
-/// atomically renames the file into place.
+/// `<path>.tmp` immediately; RecordEmission() (every spout task calls it)
+/// frames records into an in-memory buffer flushed as a records segment
+/// every ~256 KiB; Finalize() writes the end segment and atomically
+/// renames the file into place.
 ///
 /// Write errors never abort the run being recorded: the recorder latches
 /// a failed state, counts subsequent records as dropped, and Finalize()
@@ -155,7 +169,8 @@ class RunRecorder {
   RunRecorder(const RunRecorder&) = delete;
   RunRecorder& operator=(const RunRecorder&) = delete;
 
-  /// Appends one spout emission. Calls for *different* spout tasks may
+  /// Appends one spout record: an emission, or for a Tuple::Barrier the
+  /// task's epoch cut. Calls for *different* spout tasks may
   /// run concurrently (each task owns a private buffer shard); calls for
   /// the same task must be serialized by the caller, and Finalize() must
   /// not overlap any call. The engine's lifecycle provides both: one
@@ -173,7 +188,7 @@ class RunRecorder {
   Status Finalize();
 
   const std::string& path() const { return path_; }
-  /// Total emissions appended, summed across the per-spout-task shards.
+  /// Total records appended, summed across the per-spout-task shards.
   uint64_t records_written() const;
   uint64_t bytes_written() const {
     return bytes_written_.load(std::memory_order_relaxed);
@@ -252,8 +267,8 @@ class RunRecorder {
   bool writer_stop_ = false;
 
   /// Set (before any shard is drained) by Finalize(); checked by
-  /// RecordEmission under the shard mutex, so a drained shard can never
-  /// absorb a late record that would miss the file.
+  /// RecordEmission before it touches a shard, so a buggy late record is
+  /// counted as dropped instead of landing in a drained shard.
   std::atomic<bool> closed_{false};
   std::atomic<uint64_t> bytes_written_{0};
   std::atomic<uint64_t> dropped_records_{0};

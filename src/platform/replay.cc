@@ -1,110 +1,64 @@
 #include "platform/replay.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/check.h"
-#include "platform/clock.h"
 
 namespace streamlib::platform {
 
-/// One tuple in flight to a bolt task.
-struct ReplayEngine::Delivery {
-  StageTask* target = nullptr;
-  Message message;
-};
+namespace {
 
-/// The replayer's collector for one task. Routing, transport draws and edge
-/// ids come from StageGraph::Send like the live engine's; what differs is
-/// where things land: arriving copies join the replayer's FIFO (Send's wire),
-/// a fused edge's copy included (Route sends task i to task i), and roots
-/// open and acks fold into the synchronous ledger (its AckSink).
-class ReplayEngine::ReplayCollector : public StageCollector,
-                                      public AckSink {
+/// Stands in for user spout code: a replay feeds the recorded records
+/// through the task's collector instead, and acks, failures, snapshots and
+/// restores have nothing to act on.
+class RecordedSpout : public Spout {
  public:
-  ReplayCollector(ReplayEngine* engine, StageTask* task)
-      : engine_(engine), task_(task) {}
-
-  uint64_t LastRootId() const override { return last_spout_root_; }
-
-  void Emit(Tuple tuple) override {
-    const bool from_spout = task_->bolt == nullptr;
-    Message message;
-    message.tuple = std::move(tuple);
-    message.root_id = root_;
-    if (from_spout && TracksTuples(engine_->run_.config.semantics)) {
-      message.root_id = engine_->next_root_id_++;
-      last_spout_root_ = message.root_id;
-    }
-    const uint64_t root = message.root_id;
-    const uint64_t edge_xor =
-        engine_->graph_.Send(task_, std::move(message), this);
-    task_->metrics->IncEmitted();
-    if (from_spout && root != 0) {
-      engine_->InitRoot(root, edge_xor, task_->global_index);
-    } else if (root != 0) {
-      xor_out_ ^= edge_xor;
-    }
+  bool NextTuple(OutputCollector*) override { return false; }
+  Status RestoreEpoch(uint64_t, const std::vector<uint8_t>&) override {
+    return Status::OK();
   }
-
-  uint64_t Deliver(StageTask* target, Message&& message) {
-    engine_->work_.push_back(Delivery{target, std::move(message)});
-    return 0;
-  }
-
-  void Ack(uint64_t root, uint64_t value) override {
-    engine_->ApplyAck(root, value);
-  }
-
- private:
-  ReplayEngine* engine_;
-  StageTask* task_;
-  uint64_t last_spout_root_ = 0;
 };
+
+Topology WithRecordedSpouts(Topology topology) {
+  topology.ReplaceSpouts([] { return std::make_unique<RecordedSpout>(); });
+  return topology;
+}
+
+/// The recorded config minus what shapes wall-clock transport only: SPSC
+/// rings, the queue bound (one thread never waits for a consumer), the
+/// sampler and tracing. None of these feeds a draw, a route or an edge id.
+EngineConfig SteppedConfig(EngineConfig config, KvCheckpointStore* store,
+                           Clock* clock) {
+  config.enable_spsc = false;
+  config.queue_capacity = std::numeric_limits<size_t>::max();
+  config.telemetry_sample_interval_ms = 0;
+  config.trace_sample_every = 0;
+  config.checkpoint_store = store;
+  config.clock = clock;
+  return config;
+}
+
+}  // namespace
 
 ReplayEngine::ReplayEngine(Topology topology, RecordedRun run,
                            ReplayOptions options)
-    : topology_(std::move(topology)),
-      run_(std::move(run)),
-      options_(options),
-      graph_(run_.config, Clock::Steady(), /*live=*/false) {}
+    : run_(std::move(run)),
+      store_(options.checkpoint_store != nullptr ? options.checkpoint_store
+                                                 : &owned_store_),
+      engine_(WithRecordedSpouts(std::move(topology)),
+              SteppedConfig(run_.config, store_, &clock_)) {}
 
 ReplayEngine::~ReplayEngine() = default;
 
 Status ReplayEngine::Prepare() {
-  if (prepared_) {
+  if (prepared_ || engine_.ran_) {
     return Status::FailedPrecondition("ReplayEngine::Prepare called twice");
   }
-  STREAMLIB_RETURN_NOT_OK(MatchesTopology(run_.fingerprint, topology_));
-  STREAMLIB_RETURN_NOT_OK(run_.config.Validate());
-
-  graph_.Build(topology_, &metrics_, [this] {
-    tasks_.push_back(std::make_unique<StageTask>());
-    return tasks_.back().get();
-  });
-  for (auto& task : tasks_) {
-    collectors_.push_back(std::make_unique<ReplayCollector>(this, task.get()));
-  }
-  inputs_seen_.assign(tasks_.size(), 0);
-  metrics_.Freeze();
-
-  const auto& components = topology_.components();
-  for (auto& task : tasks_) {
-    if (task->bolt != nullptr) {
-      task->bolt->Prepare(task->task_index,
-                          components[task->component_index].parallelism);
-    }
-  }
-
-  for (const RecordedEmission& emission : run_.emissions) {
-    if (emission.spout_task >= tasks_.size() ||
-        tasks_[emission.spout_task]->bolt != nullptr) {
-      return Status::Corruption(
-          "recording: emission references task " +
-          std::to_string(emission.spout_task) + " which is not a spout task");
-    }
-  }
-
+  STREAMLIB_RETURN_NOT_OK(MatchesTopology(run_.fingerprint, engine_.topology_));
+  STREAMLIB_RETURN_NOT_OK(engine_.StartStepped());
+  inputs_seen_.assign(task_count(), 0);
   prepared_ = true;
   return Status::OK();
 }
@@ -113,80 +67,28 @@ void ReplayEngine::AddBreakpoint(const Breakpoint& breakpoint) {
   breakpoints_.push_back(breakpoint);
 }
 
-void ReplayEngine::InitRoot(uint64_t root, uint64_t edge_xor,
-                            size_t spout_task) {
-  STREAMLIB_CHECK_MSG(!root_active_,
-                      "replay: a new root opened before the previous tree "
-                      "drained");
-  root_active_ = true;
-  root_id_ = root;
-  root_value_ = edge_xor;
-  root_spout_task_ = spout_task;
-}
-
-void ReplayEngine::ApplyAck(uint64_t root, uint64_t xor_value) {
-  if (root_active_ && root == root_id_) root_value_ ^= xor_value;
-}
-
-void ReplayEngine::MaybeResolveRoot() {
-  if (!root_active_ || !work_.empty()) return;
-  StageTask* spout_task = tasks_[root_spout_task_].get();
-  if (root_value_ == 0) {
-    completed_roots_++;
-    spout_task->metrics->IncAcked();
-  } else {
-    failed_roots_++;
-    spout_task->metrics->IncFailed();
-  }
-  root_active_ = false;
-}
-
-void ReplayEngine::EmitNext() {
-  const RecordedEmission& emission = run_.emissions[next_emission_];
-  next_emission_++;
-  collectors_[emission.spout_task]->Emit(emission.tuple);
-}
-
-/// Executes the FIFO's head delivery through the shared stage runner, its
-/// ack landing in the synchronous ledger.
-void ReplayEngine::ExecuteNext() {
-  Delivery delivery = std::move(work_.front());
-  work_.pop_front();
-  StageTask* task = delivery.target;
-  inputs_seen_[task->global_index]++;
-  ReplayCollector* collector = collectors_[task->global_index].get();
-  const StageOutcome outcome =
-      graph_.Run(task, delivery.message, collector, collector);
-  if (outcome != StageOutcome::kFailed) task->metrics->IncExecuted();
-  if (outcome == StageOutcome::kCrashed) graph_.RestartBolt(task);
-}
-
 void ReplayEngine::StepInternal(bool allow_finish) {
-  if (!work_.empty()) {
-    ExecuteNext();
-    MaybeResolveRoot();
-  } else if (next_emission_ < run_.emissions.size()) {
-    EmitNext();
-    MaybeResolveRoot();  // A fully dropped tree resolves immediately.
+  if (Task* next = engine_.NextQueued()) {
+    inputs_seen_[next->global_index]++;
+    engine_.StepQueued(next);
+  } else if (next_record_ < run_.emissions.size()) {
+    const RecordedEmission& record = run_.emissions[next_record_++];
+    if (!record.tuple.IsBarrier()) emissions_processed_++;
+    engine_.StepRecord(record.spout_task, record.tuple);
   } else if (allow_finish && !finish_done_) {
-    graph_.RunFinishPass();
+    engine_.Finish();
     finish_done_ = true;
   }
 }
 
-bool ReplayEngine::Done() const {
-  return prepared_ && next_emission_ == run_.emissions.size() &&
-         work_.empty() && finish_done_;
-}
-
 bool ReplayEngine::PreStepBreakpoint() const {
-  if (work_.empty()) return false;
-  const Delivery& next = work_.front();
+  const Task* next = engine_.NextQueued();
+  if (next == nullptr) return false;
   for (const Breakpoint& bp : breakpoints_) {
     if (bp.kind != Breakpoint::Kind::kTaskTuple) continue;
-    if (bp.task != next.target->global_index) continue;
+    if (bp.task != next->global_index) continue;
     const uint64_t ordinal = std::max<uint64_t>(1, bp.count);
-    if (inputs_seen_[next.target->global_index] + 1 == ordinal) return true;
+    if (inputs_seen_[next->global_index] + 1 == ordinal) return true;
   }
   return false;
 }
@@ -202,8 +104,7 @@ bool ReplayEngine::PostStepBreakpoint() {
         }
         break;
       case Breakpoint::Kind::kCheckpoint:
-        if (!checkpoint_fired_ && options_.checkpoint_store != nullptr &&
-            options_.checkpoint_store->TotalPuts() >= bp.count) {
+        if (!checkpoint_fired_ && store_->TotalPuts() >= bp.count) {
           checkpoint_fired_ = true;
           return true;
         }
@@ -243,51 +144,52 @@ Status ReplayEngine::RunToEmission(uint64_t emission_count) {
     return Status::FailedPrecondition("ReplayEngine::Prepare must run first");
   }
   const uint64_t target =
-      std::min<uint64_t>(emission_count, run_.emissions.size());
-  if (next_emission_ > target) {
+      std::min<uint64_t>(emission_count, total_emissions());
+  if (emissions_processed_ > target) {
     return Status::FailedPrecondition(
         "replay already past emission " + std::to_string(target));
   }
-  while (next_emission_ < target || !work_.empty()) {
+  while (emissions_processed_ < target || engine_.QueuedMessages() > 0) {
     StepInternal(/*allow_finish=*/false);
   }
   return Status::OK();
 }
 
-size_t ReplayEngine::pending_deliveries() const { return work_.size(); }
+size_t ReplayEngine::pending_deliveries() const {
+  return engine_.QueuedMessages();
+}
 
 uint64_t ReplayEngine::inputs_seen(size_t global_index) const {
-  STREAMLIB_CHECK(global_index < tasks_.size());
+  STREAMLIB_CHECK(global_index < inputs_seen_.size());
   return inputs_seen_[global_index];
 }
 
-size_t ReplayEngine::task_count() const { return tasks_.size(); }
-
 const TaskMetrics& ReplayEngine::task_metrics(size_t global_index) const {
-  STREAMLIB_CHECK(global_index < tasks_.size());
-  return *tasks_[global_index]->metrics;
+  STREAMLIB_CHECK(global_index < task_count());
+  return engine_.metrics_.task(global_index);
 }
 
 std::optional<std::vector<uint8_t>> ReplayEngine::TaskStateBlob(
     size_t global_index) const {
-  STREAMLIB_CHECK(global_index < tasks_.size());
-  const StageTask& task = *tasks_[global_index];
-  if (task.bolt == nullptr) return std::nullopt;
-  return task.bolt->StateBlob();
+  STREAMLIB_CHECK(global_index < task_count());
+  const Bolt* bolt = engine_.graph_.tasks()[global_index]->bolt.get();
+  if (bolt == nullptr) return std::nullopt;
+  return bolt->StateBlob();
 }
 
 Result<std::vector<uint8_t>> ReplayEngine::BoltStateBlob(
     const std::string& component, uint32_t task_index) const {
-  for (const auto& task : tasks_) {
-    if (task->metrics->component() != component ||
-        task->task_index != task_index) {
+  for (size_t i = 0; i < task_count(); i++) {
+    const TaskMetrics& metrics = engine_.metrics_.task(i);
+    if (metrics.component() != component ||
+        metrics.task_index() != task_index) {
       continue;
     }
-    if (task->bolt == nullptr) {
+    if (engine_.graph_.tasks()[i]->bolt == nullptr) {
       return Status::InvalidArgument("component '" + component +
                                      "' is a spout (no bolt state)");
     }
-    std::optional<std::vector<uint8_t>> blob = task->bolt->StateBlob();
+    std::optional<std::vector<uint8_t>> blob = TaskStateBlob(i);
     if (!blob.has_value()) {
       return Status::Unimplemented("bolt '" + component +
                                    "' exposes no StateBlob");
@@ -299,7 +201,8 @@ Result<std::vector<uint8_t>> ReplayEngine::BoltStateBlob(
 }
 
 RunSummary ReplayEngine::Summary() const {
-  return SummarizeRun(completed_roots_, failed_roots_, fault_plan(), metrics_);
+  return SummarizeRun(completed_roots(), failed_roots(), fault_plan(),
+                      engine_.metrics_);
 }
 
 Status ReplayEngine::CompareWithRecorded() const {
@@ -333,9 +236,9 @@ Status ReplayEngine::CompareWithRecorded() const {
     return mismatch("task count", got.tasks.size(), want.tasks.size());
   }
   for (size_t i = 0; i < got.tasks.size(); i++) {
-    const std::string prefix =
-        metrics_.task(i).component() + "[" +
-        std::to_string(metrics_.task(i).task_index()) + "].";
+    const TaskMetrics& metrics = engine_.metrics_.task(i);
+    const std::string prefix = metrics.component() + "[" +
+                               std::to_string(metrics.task_index()) + "].";
     if (got.tasks[i].emitted != want.tasks[i].emitted) {
       return mismatch(prefix + "emitted", got.tasks[i].emitted,
                       want.tasks[i].emitted);
@@ -388,7 +291,7 @@ Result<std::optional<uint64_t>> FindFirstDivergence(const ReplayTarget& a,
         "FindFirstDivergence: both targets need a topology and a run");
   }
   const uint64_t n =
-      std::min<uint64_t>(a.run->emissions.size(), b.run->emissions.size());
+      std::min<uint64_t>(a.run->EmissionCount(), b.run->EmissionCount());
   auto equal_at = [&](uint64_t m) -> Result<bool> {
     Result<TaskStates> sa = StatesAfter(a, m);
     STREAMLIB_RETURN_NOT_OK(sa.status());
@@ -400,7 +303,7 @@ Result<std::optional<uint64_t>> FindFirstDivergence(const ReplayTarget& a,
   Result<bool> at_end = equal_at(n);
   STREAMLIB_RETURN_NOT_OK(at_end.status());
   if (at_end.value()) {
-    if (a.run->emissions.size() != b.run->emissions.size()) {
+    if (a.run->EmissionCount() != b.run->EmissionCount()) {
       // Identical over the common prefix; the first extra emission of the
       // longer recording is where they part ways.
       return std::optional<uint64_t>(n);

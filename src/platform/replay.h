@@ -2,7 +2,6 @@
 #define STREAMLIB_PLATFORM_REPLAY_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -11,27 +10,27 @@
 
 #include "common/status.h"
 #include "platform/checkpoint.h"
+#include "platform/clock.h"
+#include "platform/engine.h"
 #include "platform/metrics.h"
 #include "platform/recorder.h"
-#include "platform/stage.h"
 #include "platform/topology.h"
 
 namespace streamlib::platform {
 
 /// \file replay.h
-/// Time-travel re-execution of a flight recording (recorder.h): the
-/// recorded spout emissions are fed through the topology one at a time on
-/// a single thread, with every nondeterministic decision — shuffle
-/// routing, fault draws — regenerated from the recorded seeds. The
-/// replayer adds only its own control loop (FIFO drain, synchronous ledger,
-/// breakpoints, stepping): task and fault-site construction, routing,
-/// transport draws, edge ids, the stage runner and the finish pass are the
-/// live engine's own code (StageGraph, stage.h), so every site is consulted
-/// in the live per-site order, and every task allocates the live edge ids,
-/// by construction. SLFR carries enable_fusion, so the replayer builds the
-/// live fusion plan: a fused edge is an ordinary delivery from task i to
-/// task i that the replayer queues in its FIFO instead of running inline,
-/// drawing what the live fused hop drew. Between any two tuples the
+/// Time-travel re-execution of a flight recording (recorder.h). The
+/// replayer is TopologyEngine stepped on one thread over a ManualClock:
+/// the engine's own build and finish phases, collectors, queues, barrier
+/// handling, stage runner and XOR root ledger, driven one unit at a time.
+/// Each recorded spout record enters through its spout task's collector
+/// (an inert RecordedSpout stands in for the user spout), and every
+/// nondeterministic decision — shuffle routing, fault draws, edge ids — is
+/// regenerated from the recorded seeds by the same code that drew it live.
+/// The replay's copy of the recorded config switches off only what shapes
+/// wall-clock transport (SPSC rings, the queue bound, the sampler and
+/// tracing), none of which feeds a draw. Fused hops run inline inside
+/// their producer's step, as they run live. Between any two units the
 /// debugger can pause, inspect bolt state (Bolt::StateBlob) and live
 /// TaskMetrics, and resume.
 ///
@@ -55,23 +54,27 @@ namespace streamlib::platform {
 /// live ack timeout must also be long enough that only structurally
 /// unresolvable trees fail.
 ///
-/// Epoch checkpointing (DESIGN.md §12) is outside this contract entirely:
-/// recording requires epoch_interval_tuples == 0 and resume_from_epoch ==
-/// 0 (EngineConfig::Validate rejects the combination). A resumed run's
-/// first emission depends on restored spout state, and barrier alignment
-/// (hold timers, force-advance) depends on wall-clock timing the SLFR
-/// format does not capture — replay a *fresh* run, or use the epoch
-/// determinism guarantees of exactly_once_test.cc instead.
+/// Epoch checkpointing (DESIGN.md §12) composes: a recording carries each
+/// spout task's epoch cuts as barrier records, and the replay cuts there,
+/// aligns and snapshots through the engine's own barrier path, writing its
+/// frames into ReplayOptions::checkpoint_store. Under condition (1) every
+/// aligner has one producer, so nothing is ever held and no alignment
+/// times out: the bolt frames and the set of complete epochs reproduce.
+/// A resumed recording restores from the resume epoch's frames, which the
+/// caller supplies in that store.
 
 /// A pause condition for replayed execution.
 struct Breakpoint {
   enum class Kind {
     /// Pause before task `task` (global index) executes its `count`th
-    /// input tuple (1-based).
+    /// queued input tuple (1-based; an epoch barrier counts). A fused
+    /// consumer's inputs run inside its producer's step, never from a
+    /// queue, so a kTaskTuple breakpoint on one never fires: break on its
+    /// producer instead.
     kTaskTuple,
     /// Pause as soon as the replayed FaultPlan has injected any fault.
     kFirstFault,
-    /// Pause once the watched checkpoint store (ReplayOptions) has
+    /// Pause once the replay's checkpoint store (ReplayOptions) has
     /// absorbed at least `count` Put calls.
     kCheckpoint,
   };
@@ -88,19 +91,25 @@ enum class ReplayStop {
 };
 
 struct ReplayOptions {
-  /// Store watched by Breakpoint::kCheckpoint (not owned; may be null).
-  const KvCheckpointStore* checkpoint_store = nullptr;
+  /// Where the replay's epoch frames go and what Breakpoint::kCheckpoint
+  /// watches (not owned). Null: a store the replay owns. A resumed
+  /// recording needs the caller's copy of the resume epoch's frames here.
+  KvCheckpointStore* checkpoint_store = nullptr;
 };
 
 /// Deterministic single-threaded re-execution of one RecordedRun.
 ///
-/// Unit of progress: one spout emission injected, or one delivered tuple
-/// executed at a bolt. Each emission's full tuple tree drains (FIFO,
-/// preserving per-producer order) before the next emission, and under
-/// at-least-once its XOR ledger resolves synchronously — acked iff the
-/// ledger clears, replacing the live engine's wall-clock ack timeout.
-/// Spout user code is never invoked (emissions come from the file);
-/// acked/failed land on the spout task's metrics directly.
+/// Unit of progress: one spout record fed (an emission, or a barrier
+/// record: the spout's epoch cut), or one queued message executed — the
+/// lowest-indexed task's oldest — including the fused hops it runs inline.
+/// Each record's full tree drains before the next record enters, and
+/// under at-least-once its root settles in the engine's XOR ledger as the
+/// acks land; a root still open when its tree drains fails, replacing the
+/// live engine's wall-clock ack timeout. Spout user code is never invoked
+/// (records come from the file); acked/failed land on the spout task's
+/// metrics as they do live. Emission counts and indices (RunToEmission,
+/// emissions_processed, FindFirstDivergence) count emissions only, never
+/// barrier records.
 class ReplayEngine {
  public:
   ReplayEngine(Topology topology, RecordedRun run, ReplayOptions options = {});
@@ -109,8 +118,9 @@ class ReplayEngine {
   ReplayEngine(const ReplayEngine&) = delete;
   ReplayEngine& operator=(const ReplayEngine&) = delete;
 
-  /// Validates the topology against the recording's fingerprint and
-  /// builds tasks. Must be called (and return OK) before anything else.
+  /// Validates the topology against the recording's fingerprint, builds
+  /// the tasks and prepares them (restoring a resumed recording's frames).
+  /// Must be called (and return OK) before anything else.
   Status Prepare();
 
   void AddBreakpoint(const Breakpoint& breakpoint);
@@ -129,13 +139,15 @@ class ReplayEngine {
   /// its length. The divergence bisector's probe primitive.
   Status RunToEmission(uint64_t emission_count);
 
-  bool Done() const;
-  uint64_t emissions_processed() const { return next_emission_; }
-  uint64_t total_emissions() const { return run_.emissions.size(); }
-  /// Tuples currently queued inside the in-flight tree (0 when paused
-  /// between trees).
+  bool Done() const { return finish_done_; }
+  uint64_t emissions_processed() const { return emissions_processed_; }
+  uint64_t total_emissions() const { return run_.EmissionCount(); }
+  /// Messages queued inside the in-flight tree (0 when paused between
+  /// trees).
   size_t pending_deliveries() const;
-  /// Input tuples delivered to a task so far (kTaskTuple's counter).
+  /// Queued input tuples a task has executed so far, barriers included
+  /// (kTaskTuple's counter). A fused consumer has no queue: its inputs run
+  /// inside its producer's step, so its count stays 0.
   uint64_t inputs_seen(size_t global_index) const;
 
   /// State snapshot of one bolt: Unimplemented if the bolt exposes no
@@ -146,15 +158,15 @@ class ReplayEngine {
   /// Same by global task index; nullopt for spouts and blob-less bolts.
   std::optional<std::vector<uint8_t>> TaskStateBlob(size_t global_index) const;
 
-  size_t task_count() const;
+  size_t task_count() const { return engine_.metrics_.task_count(); }
   const TaskMetrics& task_metrics(size_t global_index) const;
-  MetricsRegistry& metrics() { return metrics_; }
+  MetricsRegistry& metrics() { return engine_.metrics(); }
   /// Null when the recording ran without fault injection.
-  const FaultPlan* fault_plan() const { return graph_.fault_plan(); }
+  const FaultPlan* fault_plan() const { return engine_.fault_plan(); }
   /// Edges the live plan fused (after Prepare): the recorded run's count.
-  size_t fused_edges() const { return graph_.plan()->fused_edge_count(); }
-  uint64_t completed_roots() const { return completed_roots_; }
-  uint64_t failed_roots() const { return failed_roots_; }
+  size_t fused_edges() const { return engine_.fused_edges(); }
+  uint64_t completed_roots() const { return engine_.completed_roots(); }
+  uint64_t failed_roots() const { return engine_.failed_roots(); }
   const RecordedRun& run() const { return run_; }
 
   /// Current counters in the RunSummary shape (comparable to the
@@ -168,43 +180,22 @@ class ReplayEngine {
   Status CompareWithRecorded() const;
 
  private:
-  struct Delivery;
-  class ReplayCollector;
-
-  void EmitNext();
-  void ExecuteNext();
-  void MaybeResolveRoot();
   void StepInternal(bool allow_finish);
   bool PreStepBreakpoint() const;
   bool PostStepBreakpoint();
-  void InitRoot(uint64_t root, uint64_t edge_xor, size_t spout_task);
-  void ApplyAck(uint64_t root, uint64_t xor_value);
 
-  Topology topology_;
   RecordedRun run_;
-  ReplayOptions options_;
+  // The store the replay writes frames into when the caller passes none.
+  KvCheckpointStore owned_store_;
+  KvCheckpointStore* const store_;
+  ManualClock clock_;
+  TopologyEngine engine_;
   bool prepared_ = false;
 
-  MetricsRegistry metrics_;
-  // Task and fault-site construction, routing, transport draws, edge ids,
-  // the stage runner and the finish pass: the live engine's own code.
-  StageGraph graph_;
-  std::vector<std::unique_ptr<StageTask>> tasks_;
-  std::vector<std::unique_ptr<ReplayCollector>> collectors_;
   std::vector<uint64_t> inputs_seen_;  // Per task (kTaskTuple's counter).
-
-  std::deque<Delivery> work_;
-  uint64_t next_emission_ = 0;
+  size_t next_record_ = 0;
+  uint64_t emissions_processed_ = 0;
   bool finish_done_ = false;
-
-  uint64_t next_root_id_ = 1;
-  // The one in-flight tree's ledger (trees drain before the next starts).
-  bool root_active_ = false;
-  uint64_t root_id_ = 0;
-  uint64_t root_value_ = 0;
-  size_t root_spout_task_ = 0;
-  uint64_t completed_roots_ = 0;
-  uint64_t failed_roots_ = 0;
 
   std::vector<Breakpoint> breakpoints_;
   bool skip_pre_check_once_ = false;

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <thread>
 
-#include "platform/clock.h"
 #include "platform/engine.h"
 
 namespace streamlib::platform {
@@ -17,44 +16,38 @@ constexpr size_t kTraceRingCapacity = 4096;
 
 }  // namespace
 
-StageGraph::StageGraph(const EngineConfig& config, Clock* clock, bool live)
-    : config_(config), clock_(clock), live_(live) {}
+StageGraph::StageGraph(const EngineConfig& config) : config_(config) {}
 
-StageGraph::~StageGraph() = default;
-
-uint64_t StageGraph::NowNanos() const { return clock_->NowNanos(); }
-
-void StageGraph::Sleep(uint32_t micros) const {
-  if (live_ && micros > 0) {
+void StageGraph::Sleep(uint32_t micros) {
+  if (micros > 0) {
     std::this_thread::sleep_for(std::chrono::microseconds(micros));
   }
 }
 
-void StageGraph::Build(const Topology& topology, MetricsRegistry* metrics,
-                       const std::function<StageTask*()>& new_task) {
+void StageGraph::Build(const Topology& topology, MetricsRegistry* metrics) {
   topology_ = &topology;
   const auto& components = topology.components();
   if (config_.faults.Enabled()) {
     fault_plan_ = std::make_unique<FaultPlan>(config_.faults);
   }
-  std::vector<std::vector<StageTask*>> tasks_by_component(components.size());
+  std::vector<std::vector<Task*>> tasks_by_component(components.size());
   for (size_t ci = 0; ci < components.size(); ci++) {
     const ComponentSpec& spec = components[ci];
     for (uint32_t ti = 0; ti < spec.parallelism; ti++) {
-      StageTask* task = new_task();
-      task->global_index = tasks_.size();
+      Task* task = tasks_.emplace_back(std::make_unique<Task>()).get();
+      task->global_index = tasks_.size() - 1;
       task->component_index = ci;
       task->task_index = ti;
       // Pre-register this task's metrics: the registry freezes before any
       // worker thread starts, so the run phase never mutates it.
       task->metrics = &metrics->RegisterTask(spec.name, ti);
-      if (live_ && config_.trace_sample_every > 0) {
+      if (config_.trace_sample_every > 0) {
         task->trace_ring = std::make_unique<TraceRing>(kTraceRingCapacity);
       }
-      if (!spec.is_spout) {
-        task->bolt = spec.bolt_factory();
-      } else if (live_) {
+      if (spec.is_spout) {
         task->spout = spec.spout_factory();
+      } else {
+        task->bolt = spec.bolt_factory();
       }
       task->rng.Seed(config_.seed ^
                      (0x9e3779b97f4a7c15ULL * (task->global_index + 1)));
@@ -74,7 +67,6 @@ void StageGraph::Build(const Topology& topology, MetricsRegistry* metrics,
         }
       }
       tasks_by_component[ci].push_back(task);
-      tasks_.push_back(task);
     }
   }
 
@@ -110,7 +102,7 @@ void StageGraph::Build(const Topology& topology, MetricsRegistry* metrics,
     for (size_t i = 0; i + 1 < chain.size(); i++) {
       // Rule 7: a fused producer has exactly one outgoing edge; rule 5
       // pairs its task i with the consumer's task i.
-      for (StageTask* producer : tasks_by_component[chain[i]]) {
+      for (Task* producer : tasks_by_component[chain[i]]) {
         producer->fused_next =
             tasks_by_component[chain[i + 1]][producer->task_index];
       }
@@ -118,8 +110,8 @@ void StageGraph::Build(const Topology& topology, MetricsRegistry* metrics,
   }
 }
 
-void StageGraph::Route(const StageTask* from, const Tuple& tuple, Rng& rng,
-                       std::vector<StageTask*>* out) const {
+void StageGraph::Route(const Task* from, const Tuple& tuple, Rng& rng,
+                       std::vector<Task*>* out) const {
   if (from->fused_next != nullptr) {
     out->push_back(from->fused_next);
     return;
@@ -145,7 +137,7 @@ void StageGraph::Route(const StageTask* from, const Tuple& tuple, Rng& rng,
   }
 }
 
-void StageGraph::RestartBolt(StageTask* task) {
+void StageGraph::RestartBolt(Task* task) {
   const ComponentSpec& spec = topology_->components()[task->component_index];
   task->bolt = spec.bolt_factory();
   task->bolt->Prepare(task->task_index, spec.parallelism);
@@ -157,14 +149,14 @@ void StageGraph::RestartBolt(StageTask* task) {
 /// routing is a pure function of the config seed.
 class StageGraph::FinishCollector : public OutputCollector {
  public:
-  FinishCollector(StageGraph* graph, StageTask* task, uint64_t seed)
+  FinishCollector(StageGraph* graph, Task* task, uint64_t seed)
       : graph_(graph), task_(task), rng_(seed) {}
 
   void Emit(Tuple tuple) override {
     task_->metrics->IncEmitted();
-    std::vector<StageTask*> targets;
+    std::vector<Task*> targets;
     graph_->Route(task_, tuple, rng_, &targets);
-    for (StageTask* target : targets) {
+    for (Task* target : targets) {
       FinishCollector downstream(graph_, target, rng_.Next());
       target->bolt->Execute(tuple, &downstream);
       target->metrics->IncExecuted();
@@ -173,16 +165,17 @@ class StageGraph::FinishCollector : public OutputCollector {
 
  private:
   StageGraph* graph_;
-  StageTask* task_;
+  Task* task_;
   Rng rng_;
 };
 
 void StageGraph::RunFinishPass() {
   // Components are topologically ordered; finish each bolt task so
   // aggregates emitted here flow to (not-yet-finished) downstream bolts.
-  for (StageTask* task : tasks_) {
+  for (const auto& task : tasks_) {
     if (task->bolt == nullptr) continue;
-    FinishCollector collector(this, task, config_.seed ^ task->global_index);
+    FinishCollector collector(this, task.get(),
+                              config_.seed ^ task->global_index);
     task->bolt->Finish(&collector);
   }
 }

@@ -25,6 +25,12 @@ size_t Topology::IndexOf(const std::string& name) const {
   return 0;
 }
 
+void Topology::ReplaceSpouts(const SpoutFactory& factory) {
+  for (ComponentSpec& spec : components_) {
+    if (spec.is_spout) spec.spout_factory = factory;
+  }
+}
+
 TopologyBuilder& TopologyBuilder::AddSpout(const std::string& name,
                                            SpoutFactory factory,
                                            uint32_t parallelism) {

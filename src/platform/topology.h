@@ -199,6 +199,11 @@ class Topology {
   /// Index of a component by name; CHECK-fails if absent.
   size_t IndexOf(const std::string& name) const;
 
+  /// Makes every spout task build from `factory`. The shape, and so every
+  /// global task index, stays as it was: a replay swaps in spouts that run
+  /// no user code.
+  void ReplaceSpouts(const SpoutFactory& factory);
+
  private:
   friend class TopologyBuilder;
   std::vector<ComponentSpec> components_;  // Topologically ordered.

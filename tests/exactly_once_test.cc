@@ -3,14 +3,18 @@
 // grouped-state units, key-group rescaling, and the chaos matrix — crash a
 // run mid-epoch under every fault kind, restore from the last complete
 // epoch, and prove zero loss AND zero duplication. Plus barrier-position
-// exactness, a 50-seed frame-bit-identity torture run, and the N->2N
-// rescale-equivalence property.
+// exactness, a 50-seed frame-bit-identity torture run, the N->2N
+// rescale-equivalence property, and record -> replay of exactly-once runs
+// (fresh and resumed) with their epoch cuts.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -29,9 +33,11 @@
 #include "platform/epoch.h"
 #include "platform/fault.h"
 #include "platform/recorder.h"
+#include "platform/replay.h"
 #include "platform/stream_operators.h"
 #include "platform/telemetry.h"
 #include "platform/topology.h"
+#include "recording_util.h"
 #include "test_seed.h"
 
 namespace streamlib::platform {
@@ -88,7 +94,8 @@ TEST(ExactlyOnceConfigTest, AlignTimeoutMustBePositiveAndFinite) {
   config.epoch_interval_tuples = 32;
   ASSERT_TRUE(config.Validate().ok());
 
-  for (const double bad : {0.0, -0.5, std::nan("")}) {
+  // 1e11 s is finite, but its nanosecond count overflows a uint64_t.
+  for (const double bad : {0.0, -0.5, std::nan(""), 1e11}) {
     config.epoch_align_timeout_seconds = bad;
     Status status = config.Validate();
     ASSERT_FALSE(status.ok());
@@ -97,36 +104,6 @@ TEST(ExactlyOnceConfigTest, AlignTimeoutMustBePositiveAndFinite) {
   }
   config.epoch_align_timeout_seconds = 0.2;
   EXPECT_TRUE(config.Validate().ok());
-}
-
-TEST(ExactlyOnceConfigTest, RecordingAndEpochCheckpointsAreExclusive) {
-  // A recording replays spout emissions only; barrier schedules and
-  // restored state are outside its determinism envelope.
-  TopologyBuilder builder;
-  builder.AddSpout("src", []() -> std::unique_ptr<Spout> {
-    return std::make_unique<GeneratorSpout>(
-        []() -> std::optional<Tuple> { return std::nullopt; });
-  });
-  const Topology topology = builder.Build().value();
-  const std::string path = ::testing::TempDir() + "epoch_rec.slfr";
-  Result<std::unique_ptr<RunRecorder>> recorder =
-      RunRecorder::Create(path, EngineConfig{}, topology);
-  ASSERT_TRUE(recorder.ok()) << recorder.status().ToString();
-
-  KvCheckpointStore store;
-  EngineConfig config;
-  config.recorder = recorder.value().get();
-  config.checkpoint_store = &store;
-  config.epoch_interval_tuples = 8;
-  Status status = config.Validate();
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(status.ToString().find("mutually exclusive"), std::string::npos);
-
-  config.epoch_interval_tuples = 0;
-  config.resume_from_epoch = 1;
-  EXPECT_FALSE(config.Validate().ok());
-  std::remove(path.c_str());
 }
 
 TEST(ExactlyOnceConfigDeathTest, RunAbortsOnExactlyOnceWithoutStore) {
@@ -1106,6 +1083,284 @@ TEST(RescaleEquivalenceTest, GrowUnderLoadMatchesUnshardedBaseline) {
   for (uint64_t key = 0; key < 37; key++) {
     EXPECT_EQ(merged.Estimate(key), baseline.Estimate(key)) << "key " << key;
   }
+}
+
+// --------------------------------------- recording composes with epochs
+
+/// Records one run of `topology` under `config` to `path` and returns the
+/// parsed recording.
+RecordedRun RecordEpochRun(const std::string& path, EngineConfig config,
+                           Topology topology) {
+  Result<std::unique_ptr<RunRecorder>> recorder =
+      RunRecorder::Create(path, config, topology);
+  STREAMLIB_CHECK_MSG(recorder.ok(), "recorder create failed: %s",
+                      recorder.status().ToString().c_str());
+  config.recorder = recorder.value().get();
+  {
+    TopologyEngine engine(std::move(topology), config);
+    engine.Run();
+  }
+  const Status finalized = recorder.value()->Finalize();
+  STREAMLIB_CHECK_MSG(finalized.ok(), "finalize failed: %s",
+                      finalized.ToString().c_str());
+  Result<RecordedRun> run = ReadRecording(path);
+  STREAMLIB_CHECK_MSG(run.ok(), "read recording failed: %s",
+                      run.status().ToString().c_str());
+  std::remove(path.c_str());
+  return std::move(run).value();
+}
+
+/// The exactly-once config of the chaos matrix, made replayable: executor
+/// faults at execute_batch_size 1, a crash budget that never binds, and an
+/// ack timeout long enough that only fault-hit roots fail (replay.h's
+/// contract). Every data-plane and barrier fault kind is armed.
+EngineConfig RecordableEpochConfig(KvCheckpointStore* store, uint64_t resume,
+                                   bool fused, uint64_t seed) {
+  FaultSpec faults;
+  faults.seed = seed;
+  faults.drop_tuple_prob = 0.01;
+  faults.duplicate_tuple_prob = 0.01;
+  faults.delay_delivery_prob = 0.01;
+  faults.delay_max_micros = 5;
+  faults.bolt_throw_prob = 0.01;
+  faults.task_crash_prob = 0.004;
+  faults.max_task_crashes = 1000;
+  faults.queue_stall_prob = 0.01;
+  faults.queue_stall_micros = 5;
+  faults.acker_loss_prob = 0.01;
+  faults.barrier_drop_prob = 0.05;
+  faults.barrier_delay_prob = 0.05;
+  faults.barrier_delay_max_micros = 5;
+  EngineConfig config = MakeExactlyOnceConfig(store, resume, faults, fused);
+  config.execute_batch_size = 1;
+  config.ack_timeout_seconds = 0.5;
+  config.telemetry_sample_interval_ms = 0;
+  return config;
+}
+
+/// Highest epoch any barrier record of `run` cuts.
+uint64_t LastCutEpoch(const RecordedRun& run) {
+  uint64_t last = 0;
+  for (const RecordedEmission& record : run.emissions) {
+    last = std::max(last, record.tuple.barrier_epoch());
+  }
+  return last;
+}
+
+/// Replays `run` (the one-relay count topology, `fused` or queued) with its
+/// frames going to `replay_store`, and requires what the live run left in
+/// `live_store` above `resume`: the same summary, the same complete
+/// epochs, and byte-identical bolt frames in every complete epoch. Returns
+/// how many epochs above `resume` completed.
+uint64_t ExpectEpochReplayMatches(const RecordedRun& run, bool fused,
+                                  uint64_t resume,
+                                  const KvCheckpointStore& live_store,
+                                  KvCheckpointStore* replay_store) {
+  auto counts = std::make_shared<CountHolder>();
+  ReplayOptions options;
+  options.checkpoint_store = replay_store;
+  ReplayEngine replay(BuildCountTopology(0, -1, counts, /*fused=*/true), run,
+                      options);
+  const Status prepared = replay.Prepare();
+  EXPECT_TRUE(prepared.ok()) << prepared.ToString();
+  if (!prepared.ok()) return 0;
+  EXPECT_EQ(replay.fused_edges(), fused ? 1u : 0u);
+  EXPECT_EQ(replay.Run(), ReplayStop::kEnd);
+  const Status verdict = replay.CompareWithRecorded();
+  EXPECT_TRUE(verdict.ok()) << verdict.ToString();
+
+  uint64_t complete = 0;
+  for (uint64_t e = resume + 1; e <= LastCutEpoch(run); e++) {
+    SCOPED_TRACE("epoch " + std::to_string(e));
+    const bool live_complete = live_store.Get(EpochCompleteKey(e)).has_value();
+    EXPECT_EQ(replay_store->Get(EpochCompleteKey(e)).has_value(),
+              live_complete);
+    if (!live_complete) continue;
+    complete++;
+    for (const auto& [component, tasks] :
+         {std::pair<const char*, uint32_t>{"relay", 1}, {"count", 2}}) {
+      for (uint32_t t = 0; t < tasks; t++) {
+        const std::string key = EpochTaskKey(e, component, t);
+        EXPECT_EQ(replay_store->Get(key), live_store.Get(key)) << key;
+      }
+    }
+  }
+  return complete;
+}
+
+bool HasTaskCrash(const RecordedRun& run) {
+  return run.summary.faults_by_kind[static_cast<size_t>(
+             FaultKind::kTaskCrash)] > 0;
+}
+
+// A fresh exactly-once run with task crashes, recorded and replayed, on the
+// condition-(1) chain src -> relay x1 -> count x2 (fields) and on its
+// fused src -> relay variant: every aligner has one producer, so the
+// replay's barrier path cuts, fences and snapshots exactly as live did.
+TEST(EpochRecordingTest, FreshRunWithCrashesReplaysFramesExactly) {
+  for (const bool fused : {false, true}) {
+    SCOPED_TRACE(fused ? "fused src -> relay" : "queued");
+    bool covered = false;
+    for (uint64_t attempt = 0; attempt < 8 && !covered; attempt++) {
+      SCOPED_TRACE("attempt " + std::to_string(attempt));
+      KvCheckpointStore live_store;
+      const RecordedRun run = RecordEpochRun(
+          ::testing::TempDir() + "epoch_fresh.slfr",
+          RecordableEpochConfig(&live_store, 0, fused,
+                                TestSeed() ^ (0xe0c0 + attempt)),
+          BuildCountTopology(280, -1, std::make_shared<CountHolder>(),
+                             /*fused=*/true));
+      ASSERT_GT(run.emissions.size(), run.EmissionCount()) << "no cuts";
+      if (!HasTaskCrash(run)) continue;
+      KvCheckpointStore replay_store;
+      covered = ExpectEpochReplayMatches(run, fused, 0, live_store,
+                                         &replay_store) > 0;
+    }
+    EXPECT_TRUE(covered) << "no attempt crashed a task and completed an epoch";
+  }
+}
+
+// A resumed run: phase 1 dies mid-stream, phase 2 resumes from its last
+// complete epoch under faults and is recorded. The replay restores from
+// the caller's copy of the resume frames and reproduces phase 2.
+TEST(EpochRecordingTest, ResumedRunReplaysFramesExactly) {
+  for (const bool fused : {false, true}) {
+    SCOPED_TRACE(fused ? "fused src -> relay" : "queued");
+    KvCheckpointStore live_store;
+    {
+      TopologyEngine engine(
+          BuildCountTopology(280, 150, std::make_shared<CountHolder>(),
+                             /*fused=*/true),
+          MakeExactlyOnceConfig(&live_store, 0, FaultSpec{}, fused));
+      engine.Run();
+    }
+    const uint64_t resume = LastCompleteEpoch(live_store);
+    ASSERT_GT(resume, 0u);
+    const std::string frames = ::testing::TempDir() + "epoch_resume.ckpt";
+    ASSERT_TRUE(live_store.SaveToFile(frames).ok());
+
+    const RecordedRun run = RecordEpochRun(
+        ::testing::TempDir() + "epoch_resumed.slfr",
+        RecordableEpochConfig(&live_store, resume, fused, TestSeed() ^ 0xe0c1),
+        BuildCountTopology(280, -1, std::make_shared<CountHolder>(),
+                           /*fused=*/true));
+    EXPECT_EQ(run.config.resume_from_epoch, resume);
+    KvCheckpointStore replay_store;
+    ASSERT_TRUE(replay_store.LoadFromFile(frames).ok());
+    std::remove(frames.c_str());
+    EXPECT_GT(ExpectEpochReplayMatches(run, fused, resume, live_store,
+                                       &replay_store),
+              0u);
+  }
+}
+
+// Stepping an epoch recording: a barrier record is one Step() unit, and
+// emission counts and indices skip barrier records. Self-bisection needs
+// no caller store — the replay writes its frames into one it owns.
+TEST(EpochRecordingTest, BarrierRecordsStepButNeverCountAsEmissions) {
+  KvCheckpointStore live_store;
+  EngineConfig config = MakeExactlyOnceConfig(&live_store, 0, FaultSpec{});
+  config.telemetry_sample_interval_ms = 0;
+  config.ack_timeout_seconds = 5.0;  // Nothing fails, so nothing re-emits.
+  const RecordedRun run = RecordEpochRun(
+      ::testing::TempDir() + "epoch_step.slfr", config,
+      BuildCountTopology(100, -1, std::make_shared<CountHolder>(),
+                         /*fused=*/true));
+  const uint64_t emissions = run.EmissionCount();
+  const uint64_t cuts = run.emissions.size() - emissions;
+  ASSERT_EQ(emissions, 100u);
+  ASSERT_EQ(cuts, 100u / 32);
+
+  ReplayEngine replay(BuildCountTopology(0, -1, std::make_shared<CountHolder>(),
+                                         /*fused=*/true),
+                      run);
+  ASSERT_TRUE(replay.Prepare().ok());
+  EXPECT_EQ(replay.total_emissions(), emissions);
+  uint64_t record_steps = 0;
+  uint64_t cut_steps = 0;
+  while (!replay.Done()) {
+    const bool between_trees = replay.pending_deliveries() == 0;
+    const uint64_t before = replay.emissions_processed();
+    replay.Step();
+    if (!between_trees || replay.Done()) continue;
+    record_steps++;
+    if (replay.emissions_processed() == before) cut_steps++;
+  }
+  EXPECT_EQ(record_steps, run.emissions.size());
+  EXPECT_EQ(cut_steps, cuts);
+  EXPECT_EQ(replay.emissions_processed(), emissions);
+  EXPECT_TRUE(replay.CompareWithRecorded().ok());
+
+  ReplayEngine probe(BuildCountTopology(0, -1, std::make_shared<CountHolder>(),
+                                        /*fused=*/true),
+                     run);
+  ASSERT_TRUE(probe.Prepare().ok());
+  ASSERT_TRUE(probe.RunToEmission(40).ok());
+  EXPECT_EQ(probe.emissions_processed(), 40u);
+  EXPECT_EQ(probe.pending_deliveries(), 0u);
+
+  const auto topology = [] {
+    return BuildCountTopology(0, -1, std::make_shared<CountHolder>(),
+                              /*fused=*/true);
+  };
+  Result<std::optional<uint64_t>> divergence = FindFirstDivergence(
+      ReplayTarget{topology, &run}, ReplayTarget{topology, &run});
+  ASSERT_TRUE(divergence.ok()) << divergence.status().ToString();
+  EXPECT_FALSE(divergence.value().has_value());
+}
+
+// Barrier records that name a bolt task, carry epoch 0, or do not increase
+// per task are Corruption on read.
+TEST(EpochRecordingTest, MalformedBarrierRecordsAreCorruption) {
+  KvCheckpointStore store;
+  EngineConfig config = MakeExactlyOnceConfig(&store, 0, FaultSpec{});
+  const Topology topology = BuildCountTopology(
+      0, -1, std::make_shared<CountHolder>(), /*fused=*/true);
+  const std::string path = ::testing::TempDir() + "epoch_corrupt.slfr";
+  // Global task indices: src = 0, relay = 1, count = 2..3.
+  auto read_code = [&](const std::vector<std::pair<uint32_t, uint64_t>>& cuts) {
+    Result<std::unique_ptr<RunRecorder>> recorder =
+        RunRecorder::Create(path, config, topology);
+    EXPECT_TRUE(recorder.ok());
+    recorder.value()->RecordEmission(0, Tuple::Of(int64_t{0}));
+    for (const auto& [task, epoch] : cuts) {
+      recorder.value()->RecordEmission(task, Tuple::Barrier(epoch));
+    }
+    EXPECT_TRUE(recorder.value()->Finalize().ok());
+    return ReadRecording(path).status().code();
+  };
+  EXPECT_EQ(read_code({{0, 1}, {0, 2}}), StatusCode::kOk);
+  EXPECT_EQ(read_code({{1, 1}}), StatusCode::kCorruption);  // Bolt task.
+  EXPECT_EQ(read_code({{0, 2}, {0, 2}}), StatusCode::kCorruption);
+  EXPECT_EQ(read_code({{0, 2}, {0, 1}}), StatusCode::kCorruption);
+
+  // Epoch 0 has no Tuple::Barrier; craft its record with a valid CRC.
+  ASSERT_EQ(read_code({{0, 1}}), StatusCode::kOk);
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<uint8_t> file((std::istreambuf_iterator<char>(in)),
+                                  std::istreambuf_iterator<char>());
+  auto records = [](uint64_t epoch) {
+    ByteWriter w;
+    w.PutVarint(2);
+    w.PutVarint(0);
+    w.PutU8(0);  // Emission.
+    EncodeTuple(w, Tuple::Of(int64_t{0}));
+    w.PutVarint(0);
+    w.PutU8(1);  // Epoch cut.
+    w.PutVarint(epoch);
+    return w.TakeBytes();
+  };
+  auto code_of = [&](const std::vector<uint8_t>& bytes) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+    out.close();
+    return ReadRecording(path).status().code();
+  };
+  EXPECT_EQ(code_of(WithRecordsPayload(file, records(1))), StatusCode::kOk);
+  EXPECT_EQ(code_of(WithRecordsPayload(file, records(0))),
+            StatusCode::kCorruption);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -55,6 +55,9 @@ TEST(EngineConfigValidationTest, RejectsNonPositiveAckTimeout) {
     EXPECT_FALSE(config.Validate().ok());
     config.ack_timeout_seconds = std::nan("");
     EXPECT_FALSE(config.Validate().ok());
+    // Finite, but its nanosecond count overflows a uint64_t.
+    config.ack_timeout_seconds = 1e11;
+    EXPECT_FALSE(config.Validate().ok());
     config.ack_timeout_seconds = 5.0;
     EXPECT_TRUE(config.Validate().ok());
   }

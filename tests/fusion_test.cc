@@ -258,8 +258,8 @@ TEST(FusionLegalityTest, MultiplexedModeRefuses) {
 // recording carries enable_fusion, so its replay routes a fused shuffle
 // task i -> task i like the live run, and a barrier crosses a fused edge
 // into a consumer that cuts the epoch inline. A parallelism-2 shuffle chain
-// fuses end to end under each (the two are mutually exclusive by
-// EngineConfig::Validate, so they run separately).
+// fuses end to end under each, run separately here (exactly_once_test
+// records runs with both).
 TEST(FusionLegalityTest, RecordingAndEpochsVetoNothing) {
   constexpr int64_t kTuples = 500;
   auto run = [](EngineConfig config) {

@@ -35,6 +35,7 @@
 #include "platform/replayable_log.h"
 #include "platform/stream_operators.h"
 #include "platform/topology.h"
+#include "recording_util.h"
 #include "test_seed.h"
 
 namespace streamlib::platform {
@@ -363,10 +364,11 @@ TEST_F(RecordingCorruptionTest, BadMagicIsCorruption) {
   EXPECT_EQ(ReadCodeAfter(mutated), StatusCode::kCorruption);
 }
 
-// Version 1 predates enable_fusion in the meta segment; no reader keeps it.
+// Version 1 predates enable_fusion in the meta segment and version 2 the
+// epoch fields and cut records; no reader keeps either.
 TEST_F(RecordingCorruptionTest, UnsupportedVersionIsInvalidArgument) {
   ASSERT_EQ(bytes_[4], kRecordingVersion);
-  for (const uint8_t version : {uint8_t{1}, uint8_t{99}}) {
+  for (const uint8_t version : {uint8_t{1}, uint8_t{2}, uint8_t{99}}) {
     std::vector<uint8_t> mutated = bytes_;
     mutated[4] = version;  // Version field follows the u32 magic.
     EXPECT_EQ(ReadCodeAfter(mutated), StatusCode::kInvalidArgument)
@@ -392,6 +394,28 @@ TEST_F(RecordingCorruptionTest, CrcMismatchIsCorruption) {
   std::vector<uint8_t> mutated = bytes_;
   mutated[20] ^= 0x01;
   EXPECT_EQ(ReadCodeAfter(mutated), StatusCode::kCorruption);
+}
+
+// A CRC-valid record naming task 2^32 must not decode as task 0 (the
+// spout) by truncation: 32-bit fields are range-checked.
+TEST_F(RecordingCorruptionTest, ThirtyTwoBitOverflowIsCorruption) {
+  auto records = [](uint64_t first_task) {
+    ByteWriter w;
+    w.PutVarint(2);
+    w.PutVarint(first_task);
+    w.PutU8(0);  // An emission record.
+    EncodeTuple(w, Tuple::Of(std::string("alpha"), int64_t{1}));
+    w.PutVarint(0);
+    w.PutU8(0);
+    EncodeTuple(w, Tuple::Of(std::string("beta"), int64_t{2}));
+    return w.TakeBytes();
+  };
+  // The crafted segment is sound with a real task index...
+  EXPECT_EQ(ReadCodeAfter(WithRecordsPayload(bytes_, records(0))),
+            StatusCode::kOk);
+  // ...and corrupt with one a uint32_t cannot hold.
+  EXPECT_EQ(ReadCodeAfter(WithRecordsPayload(bytes_, records(1ull << 32))),
+            StatusCode::kCorruption);
 }
 
 TEST_F(RecordingCorruptionTest, TrailingGarbageIsCorruption) {
@@ -622,9 +646,9 @@ EngineConfig FaultyFusionConfig(DeliverySemantics semantics) {
 // Records the chain under `config`, checks the live fused-edge count and
 // that each of `fired` fired, then replays it and requires an exact match,
 // sink count included. The recording carries enable_fusion, so the
-// replayer builds the live plan (the same fused-edge count) and queues each
-// fused delivery task i -> task i in its FIFO, drawing what the live fused
-// hop drew.
+// replay builds the live plan (the same fused-edge count) and runs each
+// fused delivery task i -> task i inline, drawing what the live fused hop
+// drew.
 void ExpectRecordedChainReplaysExactly(EngineConfig config,
                                        bool fuse_spout_edge,
                                        uint32_t parallelism,

@@ -216,7 +216,9 @@ EngineConfig DemoConfig(uint64_t seed, bool faults, bool alo) {
     // Executor faults require per-tuple execution for replay parity.
     config.execute_batch_size = 1;
   }
-  if (alo) config.ack_timeout_seconds = 30.0;
+  // Long enough that only fault-hit roots time out, short enough that the
+  // recording does not idle long waiting them out.
+  if (alo) config.ack_timeout_seconds = 5.0;
   return config;
 }
 
@@ -236,6 +238,14 @@ Result<std::unique_ptr<ReplayEngine>> LoadReplay(const std::string& path) {
   Status prepared = engine->Prepare();
   if (!prepared.ok()) return prepared;
   return engine;
+}
+
+std::string DescribeRecord(const RecordedEmission& record) {
+  const std::string task = "spout_task=" + std::to_string(record.spout_task);
+  if (record.tuple.IsBarrier()) {
+    return task + " epoch cut " + std::to_string(record.tuple.barrier_epoch());
+  }
+  return task + " " + record.tuple.ToString();
 }
 
 void PrintTaskStates(const ReplayEngine& engine) {
@@ -280,7 +290,7 @@ int CmdRecord(const Flags& flags) {
   engine.Run();
   const Status finalized = recorder.value()->Finalize();
   if (!finalized.ok()) return Fail("record: finalize", finalized);
-  std::printf("recorded %llu emissions (%llu bytes) to %s\n",
+  std::printf("recorded %llu records (%llu bytes) to %s\n",
               static_cast<unsigned long long>(
                   recorder.value()->records_written()),
               static_cast<unsigned long long>(
@@ -374,15 +384,15 @@ int CmdDumpTrace(const Flags& flags) {
   Result<RecordedRun> run = ReadRecording(flags.in);
   if (!run.ok()) return Fail("dump-trace", run.status());
   const RecordedRun& recording = run.value();
-  std::printf("%zu recorded emissions (seed 0x%llx)\n",
+  std::printf("%zu recorded records, %llu of them emissions (seed 0x%llx)\n",
               recording.emissions.size(),
+              static_cast<unsigned long long>(recording.EmissionCount()),
               static_cast<unsigned long long>(recording.config.seed));
   const size_t n =
       std::min<size_t>(flags.limit, recording.emissions.size());
   for (size_t i = 0; i < n; i++) {
-    const RecordedEmission& emission = recording.emissions[i];
-    std::printf("  [%zu] spout_task=%u %s\n", i, emission.spout_task,
-                emission.tuple.ToString().c_str());
+    std::printf("  [%zu] %s\n", i,
+                DescribeRecord(recording.emissions[i]).c_str());
   }
   if (n < recording.emissions.size()) {
     std::printf("  ... %zu more\n", recording.emissions.size() - n);
@@ -405,23 +415,25 @@ int CmdBisect(const Flags& flags) {
   Result<std::optional<uint64_t>> divergence = FindFirstDivergence(a, b);
   if (!divergence.ok()) return Fail("bisect", divergence.status());
   if (!divergence.value().has_value()) {
-    std::printf("no divergence: %zu emissions replay to identical state\n",
-                run_a.value().emissions.size());
+    std::printf("no divergence: %llu emissions replay to identical state\n",
+                static_cast<unsigned long long>(run_a.value().EmissionCount()));
     return 0;
   }
   const uint64_t index = *divergence.value();
   std::printf("first divergence at emission %llu\n",
               static_cast<unsigned long long>(index));
+  // The index counts emissions only; epoch-cut records are skipped.
   auto show = [index](const char* name, const RecordedRun& run) {
-    if (index < run.emissions.size()) {
-      std::printf("  %s[%llu] = spout_task=%u %s\n", name,
+    uint64_t seen = 0;
+    for (const RecordedEmission& record : run.emissions) {
+      if (record.tuple.IsBarrier() || seen++ < index) continue;
+      std::printf("  %s[%llu] = %s\n", name,
                   static_cast<unsigned long long>(index),
-                  run.emissions[index].spout_task,
-                  run.emissions[index].tuple.ToString().c_str());
-    } else {
-      std::printf("  %s has no emission %llu (recording ends)\n", name,
-                  static_cast<unsigned long long>(index));
+                  DescribeRecord(record).c_str());
+      return;
     }
+    std::printf("  %s has no emission %llu (recording ends)\n", name,
+                static_cast<unsigned long long>(index));
   };
   show("a", run_a.value());
   show("b", run_b.value());
