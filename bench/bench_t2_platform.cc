@@ -1238,8 +1238,8 @@ bool RunBatchedSketchPath(bool quick) {
 // H-fusion: fused-operator compilation (DESIGN.md §13). Each shape runs
 // twice on the identical topology — enable_fusion on vs off — and the
 // matrix reports the throughput ratio alongside how many edges actually
-// fused (0 for the honest no-fusion-possible rows). A separate fusible
-// sketch chain must produce byte-identical CountMinSketch state on both
+// fused (0 for the honest no-fusion-possible rows). The sketch_chain_p1
+// shape must also produce byte-identical CountMinSketch state on both
 // channels: fusion is an execution strategy, never a semantics change.
 
 struct FusionCell {
@@ -1255,8 +1255,12 @@ struct FusionCell {
 };
 
 /// Builds one of the named fusion-matrix shapes over `n` generated tuples.
-/// Every bolt ends in a DoNotOptimize sink stage so the work survives -O2.
-Topology MakeFusionShape(const std::string& shape, uint64_t n) {
+/// Every shape ends in a DoNotOptimize sink stage or a sketch combiner so
+/// the work survives -O2. `sketch_blob`, when set, receives
+/// sketch_chain_p1's merged state.
+Topology MakeFusionShape(
+    const std::string& shape, uint64_t n,
+    std::shared_ptr<std::vector<uint8_t>> sketch_blob = nullptr) {
   auto counter = std::make_shared<std::atomic<uint64_t>>(0);
   auto spout_factory = [counter, n]() -> std::unique_ptr<Spout> {
     return std::make_unique<GeneratorSpout>(
@@ -1298,6 +1302,40 @@ Topology MakeFusionShape(const std::string& shape, uint64_t n) {
     builder.AddSpout("spout", spout_factory);
     builder.AddBolt("map", map_factory, 1, {{"spout", Grouping::Shuffle()}});
     builder.AddBolt("sink", sink_factory, 4, {{"map", Grouping::Fields(0)}});
+  } else if (shape == "sketch_chain_p1") {
+    // What fusing trades away: queued, the sketch bolt's ExecuteBatch
+    // kernel gets whole transport batches; fused, it updates tuple at a
+    // time. Both edges fuse (the combiner runs only at Finish).
+    builder.AddSpout("keys", [counter, n]() -> std::unique_ptr<Spout> {
+      return std::make_unique<GeneratorSpout>(
+          [counter, n]() -> std::optional<Tuple> {
+            const uint64_t i = counter->fetch_add(1);
+            if (i >= n) return std::nullopt;
+            const uint64_t k = HashInt64(i, 7) % 4096;
+            return Tuple::Of(static_cast<int64_t>((k * k) >> 6));
+          });
+    });
+    builder.AddBolt(
+        "cms",
+        []() -> std::unique_ptr<Bolt> {
+          return std::make_unique<SketchBolt<CountMinSketch>>(
+              CountMinSketch(8192, 4),
+              [](CountMinSketch& sketch, const Tuple& t) {
+                sketch.Add(static_cast<uint64_t>(t.Int(0)));
+              },
+              FieldKeyBatchUpdate<CountMinSketch>(0));
+        },
+        1, {{"keys", Grouping::Shuffle()}});
+    builder.AddBolt(
+        "out",
+        [sketch_blob]() -> std::unique_ptr<Bolt> {
+          return std::make_unique<SketchCombinerBolt<CountMinSketch>>(
+              CountMinSketch(8192, 4),
+              [sketch_blob](const CountMinSketch& merged, OutputCollector*) {
+                if (sketch_blob) *sketch_blob = state::ToBlob(merged);
+              });
+        },
+        1, {{"cms", Grouping::Global()}});
   } else {  // "mixed_parallelism": nothing fuses; the honest ~1.0x row.
     builder.AddSpout("spout", spout_factory);
     builder.AddBolt("sink", sink_factory, 4, {{"spout", Grouping::Shuffle()}});
@@ -1319,50 +1357,20 @@ void RunFusionCell(FusionCell& cell) {
   cell.failed = engine.failed_roots();
 }
 
-/// Fused-vs-queued bit-identity on a fully fusible sketch chain:
-/// keys x1 -> CountMinSketch SketchBolt x1 (shuffle) -> combiner x1
-/// (global). Same inputs, both channels, byte-compared ToBlob state.
+/// Fused-vs-queued bit-identity on the sketch_chain_p1 shape: the fused
+/// sketch updates tuple at a time, the queued one through its batch
+/// kernel. Same inputs, both channels, byte-compared ToBlob state.
 bool CheckFusionSketchIdentity(uint64_t n) {
   auto run = [n](bool fused) {
-    auto counter = std::make_shared<std::atomic<uint64_t>>(0);
     auto blob = std::make_shared<std::vector<uint8_t>>();
-    TopologyBuilder builder;
-    builder.AddSpout("keys", [counter, n]() -> std::unique_ptr<Spout> {
-      return std::make_unique<GeneratorSpout>(
-          [counter, n]() -> std::optional<Tuple> {
-            const uint64_t i = counter->fetch_add(1);
-            if (i >= n) return std::nullopt;
-            const uint64_t k = HashInt64(i, 7) % 4096;
-            return Tuple::Of(static_cast<int64_t>((k * k) >> 6));
-          });
-    });
-    builder.AddBolt(
-        "cms",
-        []() -> std::unique_ptr<Bolt> {
-          return std::make_unique<SketchBolt<CountMinSketch>>(
-              CountMinSketch(8192, 4),
-              [](CountMinSketch& sketch, const Tuple& t) {
-                sketch.Add(static_cast<uint64_t>(t.Int(0)));
-              });
-        },
-        1, {{"keys", Grouping::Shuffle()}});
-    builder.AddBolt(
-        "out",
-        [blob]() -> std::unique_ptr<Bolt> {
-          return std::make_unique<SketchCombinerBolt<CountMinSketch>>(
-              CountMinSketch(8192, 4),
-              [blob](const CountMinSketch& merged, OutputCollector*) {
-                *blob = state::ToBlob(merged);
-              });
-        },
-        1, {{"cms", Grouping::Global()}});
     EngineConfig config;
     config.enable_fusion = fused;
-    TopologyEngine engine(builder.Build().value(), config);
+    TopologyEngine engine(MakeFusionShape("sketch_chain_p1", n, blob), config);
     engine.Run();
     return *blob;
   };
-  return run(true) == run(false) && !run(true).empty();
+  const std::vector<uint8_t> fused = run(true);
+  return !fused.empty() && fused == run(false);
 }
 
 void WriteFusionSection(std::ostream& out, bool sketch_identical,
@@ -1410,7 +1418,7 @@ bool RunFusionMatrix(bool quick, std::vector<FusionCell>* cells_out,
   const int reps = quick ? 1 : 2;
   const std::vector<std::string> shapes = {
       "3stage_shuffle_p1", "2stage_pipeline_p1", "3stage_parallel2",
-      "fields_tail", "mixed_parallelism"};
+      "fields_tail", "sketch_chain_p1", "mixed_parallelism"};
   std::vector<FusionCell> cells;
   for (const std::string& shape : shapes) {
     for (DeliverySemantics sem : {DeliverySemantics::kAtMostOnce,

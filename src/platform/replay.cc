@@ -63,8 +63,36 @@ Status ReplayEngine::Prepare() {
   return Status::OK();
 }
 
-void ReplayEngine::AddBreakpoint(const Breakpoint& breakpoint) {
+Status ReplayEngine::AddBreakpoint(const Breakpoint& breakpoint) {
+  if (!prepared_) {
+    return Status::FailedPrecondition("ReplayEngine::Prepare must run first");
+  }
+  if (breakpoint.kind == Breakpoint::Kind::kTaskTuple) {
+    const auto& tasks = engine_.graph_.tasks();
+    if (breakpoint.task >= tasks.size()) {
+      return Status::InvalidArgument(
+          "no task " + std::to_string(breakpoint.task) + " (the topology has " +
+          std::to_string(tasks.size()) + ")");
+    }
+    const Task& task = *tasks[breakpoint.task];
+    if (!task.HasInput()) {
+      const auto name = [this](const Task& t) {
+        const TaskMetrics& m = task_metrics(t.global_index);
+        return "task " + std::to_string(t.global_index) + " (" +
+               m.component() + "[" + std::to_string(m.task_index()) + "])";
+      };
+      std::string why = "a spout";
+      for (const auto& producer : tasks) {
+        if (producer->fused_next == &task) {
+          why = "its inputs run fused inside " + name(*producer);
+        }
+      }
+      return Status::InvalidArgument(name(task) + " has no input queue (" +
+                                     why + "): a breakpoint there never fires");
+    }
+  }
   breakpoints_.push_back(breakpoint);
+  return Status::OK();
 }
 
 void ReplayEngine::StepInternal(bool allow_finish) {

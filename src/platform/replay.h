@@ -67,10 +67,12 @@ namespace streamlib::platform {
 struct Breakpoint {
   enum class Kind {
     /// Pause before task `task` (global index) executes its `count`th
-    /// queued input tuple (1-based; an epoch barrier counts). A fused
-    /// consumer's inputs run inside its producer's step, never from a
-    /// queue, so a kTaskTuple breakpoint on one never fires: break on its
-    /// producer instead.
+    /// queued input tuple (1-based; an epoch barrier counts). Only a task
+    /// with an input queue can be the target: a spout has none, and a
+    /// fused consumer's inputs run inside its producer's step, never from
+    /// a queue. AddBreakpoint rejects either, naming a fused consumer's
+    /// producer; with fusion on by default, break on the first queued
+    /// task downstream instead.
     kTaskTuple,
     /// Pause as soon as the replayed FaultPlan has injected any fault.
     kFirstFault,
@@ -123,7 +125,9 @@ class ReplayEngine {
   /// Must be called (and return OK) before anything else.
   Status Prepare();
 
-  void AddBreakpoint(const Breakpoint& breakpoint);
+  /// FailedPrecondition before Prepare(); InvalidArgument for a kTaskTuple
+  /// target that is out of range or has no input queue (see Breakpoint).
+  Status AddBreakpoint(const Breakpoint& breakpoint);
 
   /// Executes one unit. Returns kEnd when the replay just completed (or
   /// had already completed), kStep otherwise.

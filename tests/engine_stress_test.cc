@@ -386,6 +386,7 @@ TEST(EngineBatchingTest, SpscChainConservesTuples) {
     EngineConfig config;
     config.mode = ExecutionMode::kDedicated;
     config.enable_spsc = enable_spsc;
+    config.enable_fusion = false;  // Fused edges have no ring to count.
     TopologyEngine engine(builder.Build().value(), config);
     engine.Run();
 

@@ -1,7 +1,8 @@
 // Fused-operator topology compilation (DESIGN.md §13): the dataflow IR's
 // shape, every fusion-legality veto (and that recording and epochs veto
 // nothing), engine execution through fused chains (counts and results
-// identical to the queued baseline), the fused-vs-queued fault-schedule
+// identical to the queued baseline), the default config's fusion of the
+// Figure-1 job's spout -> parse edge, the fused-vs-queued fault-schedule
 // equality contract, the per-message draw sizing of the batched execute
 // path, and the injectable-Clock alignment-timeout determinism fix.
 
@@ -396,6 +397,50 @@ TEST(FusedEngineTest, FieldsTopologyFallsBackCleanly) {
   EXPECT_NE(EdgeBetween(*engine.plan(), "map", "shard").veto.find("fields"),
             std::string::npos);
   EXPECT_EQ(sink.Size(), 2000u);
+}
+
+// The Figure-1 job's shape (e2ebench): events x1 -> parse x1 (shuffle),
+// then parse -> trend x2 (fields) and parse -> sink x1 (global). The
+// default config fuses exactly events -> parse: the fields edge needs hash
+// routing, and parse's two subscriptions are a fan-out.
+TEST(FusedEngineTest, DefaultConfigFusesOnlySpoutToParse) {
+  constexpr int64_t kRecords = 3000;
+  TupleSink trend_sink;
+  TupleSink lambda_sink;
+  TopologyBuilder builder;
+  builder.AddSpout("events", [] { return MakeCountingSpout(kRecords); });
+  builder.AddBolt(
+      "parse", [] { return MakePassThroughBolt(); }, 1,
+      {{"events", Grouping::Shuffle()}});
+  builder.AddBolt(
+      "trend",
+      [&trend_sink]() -> std::unique_ptr<Bolt> {
+        return std::make_unique<SinkBolt>(&trend_sink);
+      },
+      2, {{"parse", Grouping::Fields(0)}});
+  builder.AddBolt(
+      "sink",
+      [&lambda_sink]() -> std::unique_ptr<Bolt> {
+        return std::make_unique<SinkBolt>(&lambda_sink);
+      },
+      1, {{"parse", Grouping::Global()}});
+  EngineConfig config;
+  config.semantics = DeliverySemantics::kAtLeastOnce;
+  TopologyEngine engine(builder.Build().value(), config);
+  engine.Run();
+
+  EXPECT_EQ(engine.fused_edges(), 1u);
+  ASSERT_NE(engine.plan(), nullptr);
+  const TopologyPlan& plan = *engine.plan();
+  EXPECT_EQ(EdgeBetween(plan, "events", "parse").channel, EdgeChannel::kFused);
+  EXPECT_NE(EdgeBetween(plan, "parse", "trend").veto.find("fields grouping"),
+            std::string::npos);
+  EXPECT_NE(EdgeBetween(plan, "parse", "sink").veto.find("fan-out"),
+            std::string::npos);
+  EXPECT_EQ(engine.completed_roots(), static_cast<uint64_t>(kRecords));
+  EXPECT_EQ(engine.failed_roots(), 0u);
+  EXPECT_EQ(trend_sink.Size(), static_cast<size_t>(kRecords));
+  EXPECT_EQ(lambda_sink.Size(), static_cast<size_t>(kRecords));
 }
 
 // -------------------------------------------- fault-schedule equality

@@ -326,6 +326,7 @@ TEST(TopologyEngineTest, BackpressureStallsAreCounted) {
   // Tiny queues + slow consumer => producers must hit backpressure.
   EngineConfig config;
   config.queue_capacity = 4;
+  config.enable_fusion = false;  // A fused slow bolt has no queue to stall on.
   TupleSink sink;
   TopologyBuilder builder;
   auto counter = std::make_shared<std::atomic<uint64_t>>(0);

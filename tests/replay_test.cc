@@ -724,6 +724,7 @@ TEST(RecordReplayFusionTest, ParallelismTwoFusedChainReplaysExactly) {
 RecordedRun QuietRecording(uint64_t seed, uint64_t n, PipelineParts* live) {
   EngineConfig config;
   config.telemetry_sample_interval_ms = 0;
+  config.enable_fusion = false;  // Relay (task 1) stays queued: breakable.
   return RecordRun(TempPath("quiet.slfr"), config,
                    BuildPipeline(seed, n, live));
 }
@@ -734,8 +735,10 @@ TEST(ReplayBreakpointTest, TaskTuplePausesBeforeTheNthInput) {
   PipelineParts replayed;
   ReplayEngine replay(BuildPipeline(0, 0, &replayed), run);
   ASSERT_TRUE(replay.Prepare().ok());
-  replay.AddBreakpoint(
-      Breakpoint{Breakpoint::Kind::kTaskTuple, /*task=*/1, /*count=*/5});
+  ASSERT_TRUE(replay
+                  .AddBreakpoint(Breakpoint{Breakpoint::Kind::kTaskTuple,
+                                            /*task=*/1, /*count=*/5})
+                  .ok());
   ASSERT_EQ(replay.Run(), ReplayStop::kBreakpoint);
   EXPECT_EQ(replay.inputs_seen(1), 4u);  // Paused *before* input 5.
   EXPECT_FALSE(replay.Done());
@@ -744,6 +747,41 @@ TEST(ReplayBreakpointTest, TaskTuplePausesBeforeTheNthInput) {
   EXPECT_EQ(replay.Run(), ReplayStop::kEnd);
   EXPECT_TRUE(replay.Done());
   EXPECT_EQ(replay.inputs_seen(1), 30u);
+  EXPECT_TRUE(replay.CompareWithRecorded().ok());
+}
+
+// With fusion on (the default), src -> relay fuses, so neither the spout
+// (task 0) nor relay (task 1) has an input queue to break on.
+TEST(ReplayBreakpointTest, TaskTupleNeedsAQueuedTask) {
+  EngineConfig config;
+  config.telemetry_sample_interval_ms = 0;
+  PipelineParts live;
+  const RecordedRun run =
+      RecordRun(TempPath("fused_quiet.slfr"), config,
+                BuildPipeline(TestSeed() ^ 0xb2, 30, &live));
+  ASSERT_TRUE(run.config.enable_fusion);
+  PipelineParts replayed;
+  ReplayEngine replay(BuildPipeline(0, 0, &replayed), run);
+  const auto on_task = [](size_t task) {
+    return Breakpoint{Breakpoint::Kind::kTaskTuple, task, /*count=*/2};
+  };
+  EXPECT_EQ(replay.AddBreakpoint(on_task(2)).code(),
+            StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(replay.Prepare().ok());
+  ASSERT_EQ(replay.fused_edges(), 1u);
+  EXPECT_EQ(replay.AddBreakpoint(on_task(6)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(replay.AddBreakpoint(on_task(0)).code(),
+            StatusCode::kInvalidArgument);
+  const Status fused = replay.AddBreakpoint(on_task(1));
+  EXPECT_EQ(fused.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(fused.message().find("task 0 (src[0])"), std::string::npos)
+      << fused.ToString();
+  // cm[0] is queued: its breakpoint is accepted and fires.
+  ASSERT_TRUE(replay.AddBreakpoint(on_task(2)).ok());
+  EXPECT_EQ(replay.Run(), ReplayStop::kBreakpoint);
+  EXPECT_EQ(replay.inputs_seen(2), 1u);
+  EXPECT_EQ(replay.Run(), ReplayStop::kEnd);
   EXPECT_TRUE(replay.CompareWithRecorded().ok());
 }
 
@@ -761,7 +799,9 @@ TEST(ReplayBreakpointTest, FirstFaultPausesOnceThenRunsToEnd) {
   PipelineParts replayed;
   ReplayEngine replay(BuildPipeline(0, 0, &replayed), run);
   ASSERT_TRUE(replay.Prepare().ok());
-  replay.AddBreakpoint(Breakpoint{Breakpoint::Kind::kFirstFault, 0, 0});
+  ASSERT_TRUE(
+      replay.AddBreakpoint(Breakpoint{Breakpoint::Kind::kFirstFault, 0, 0})
+          .ok());
   ASSERT_EQ(replay.Run(), ReplayStop::kBreakpoint);
   ASSERT_NE(replay.fault_plan(), nullptr);
   EXPECT_GE(replay.fault_plan()->total_injected(), 1u);
@@ -778,8 +818,10 @@ TEST(ReplayBreakpointTest, CheckpointPausesAfterKPuts) {
   options.checkpoint_store = replayed.store.get();
   ReplayEngine replay(BuildPipeline(0, 0, &replayed), run, options);
   ASSERT_TRUE(replay.Prepare().ok());
-  replay.AddBreakpoint(
-      Breakpoint{Breakpoint::Kind::kCheckpoint, 0, /*count=*/2});
+  ASSERT_TRUE(replay
+                  .AddBreakpoint(Breakpoint{Breakpoint::Kind::kCheckpoint, 0,
+                                            /*count=*/2})
+                  .ok());
   ASSERT_EQ(replay.Run(), ReplayStop::kBreakpoint);
   EXPECT_GE(replayed.store->TotalPuts(), 2u);
   EXPECT_FALSE(replay.Done());

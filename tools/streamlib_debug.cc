@@ -19,8 +19,13 @@
 // searches the earliest emission where two recordings' sketch states
 // part ways; `--diverge-at=K` plants such a divergence for testing.
 //
+// `break --task=T` needs a task with an input queue. The demo runs with
+// the default EngineConfig, so relay (task 1) is fused into the spout
+// (task 0) and neither can be broken on; the sketch shards (tasks 2-5)
+// are queued.
+//
 // Exit codes: 0 success, 1 divergence/verification failure, 2 usage or
-// I/O error.
+// I/O error (a breakpoint that can never fire included).
 
 #include <algorithm>
 #include <cstdint>
@@ -341,17 +346,19 @@ int CmdBreak(const Flags& flags) {
   Result<std::unique_ptr<ReplayEngine>> engine = LoadReplay(flags.in);
   if (!engine.ok()) return Fail("break", engine.status());
   ReplayEngine& replay = *engine.value();
-  if (flags.first_fault) {
-    replay.AddBreakpoint(Breakpoint{Breakpoint::Kind::kFirstFault, 0, 0});
-  } else if (flags.task >= 0 && flags.tuple >= 0) {
-    replay.AddBreakpoint(Breakpoint{Breakpoint::Kind::kTaskTuple,
-                                    static_cast<size_t>(flags.task),
-                                    static_cast<uint64_t>(flags.tuple)});
-  } else {
-    std::fprintf(stderr,
-                 "break: need --task=T --tuple=N or --first-fault\n");
-    return 2;
+  Breakpoint breakpoint{Breakpoint::Kind::kFirstFault, 0, 0};
+  if (!flags.first_fault) {
+    if (flags.task < 0 || flags.tuple < 0) {
+      std::fprintf(stderr,
+                   "break: need --task=T --tuple=N or --first-fault\n");
+      return 2;
+    }
+    breakpoint = Breakpoint{Breakpoint::Kind::kTaskTuple,
+                            static_cast<size_t>(flags.task),
+                            static_cast<uint64_t>(flags.tuple)};
   }
+  const Status added = replay.AddBreakpoint(breakpoint);
+  if (!added.ok()) return Fail("break", added);
   const ReplayStop stop = replay.Run();
   if (stop != ReplayStop::kBreakpoint) {
     std::printf("breakpoint never fired (replay ran to end)\n");
