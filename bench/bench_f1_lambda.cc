@@ -87,6 +87,9 @@ void PrintTables() {
       exact[tag] += 1.0;
       pipeline.Ingest(static_cast<int64_t>(i), tag, 1.0);
     }
+    // Probe once the last recompute has landed, so the speed layer holds
+    // exactly the suffix the batch view lacks.
+    pipeline.WaitForBatch();
 
     // Average absolute relative error over the 50 heaviest keys for each
     // answering strategy.
@@ -139,13 +142,20 @@ void PrintTables() {
     workload::TextStreamGenerator gen(kVocab, 1.1, 53);
     uint64_t reread = 0;
     uint64_t last_batches = 0;
-    for (uint64_t i = 0; i < kEvents; i++) {
-      pipeline.Ingest(static_cast<int64_t>(i), gen.Next(), 1.0);
+    // Recomputes land in the background, at most one in flight: each one
+    // observed re-read the whole prefix its view covers.
+    auto observe = [&] {
       if (pipeline.batch_recomputes() != last_batches) {
         last_batches = pipeline.batch_recomputes();
-        reread += pipeline.log().size();  // Full-prefix recompute cost.
+        reread += pipeline.serving().BatchThroughOffset();
       }
+    };
+    for (uint64_t i = 0; i < kEvents; i++) {
+      pipeline.Ingest(static_cast<int64_t>(i), gen.Next(), 1.0);
+      observe();
     }
+    pipeline.WaitForBatch();
+    observe();
     Row("%14llu | %16llu %16llu",
         static_cast<unsigned long long>(interval),
         static_cast<unsigned long long>(reread),
@@ -230,22 +240,32 @@ void PreloadPipeline(LambdaPipeline* pipeline,
 /// The seed read path, reconstructed as a baseline: every query serializes
 /// on one serving mutex and then probes the *live* speed-layer sketches,
 /// whose internal lock is contended by the ingest thread — the exact
-/// lock-per-query merge the snapshot refactor removed.
+/// lock-per-query merge the snapshot refactor removed. While a recompute
+/// is in flight it adds the sealed speed view, which covers the range
+/// between the batch view and the live sketches.
 struct MutexMergeBaseline {
   explicit MutexMergeBaseline(LambdaPipeline* pipeline)
       : pipeline(pipeline) {}
 
   double QueryTotal(const std::string& key) {
     std::lock_guard<std::mutex> lock(mu);
-    return pipeline->serving().CurrentBatchView()->TotalOf(key) +
-           pipeline->speed().TotalOf(key);
+    const auto snap = pipeline->serving().Snapshot();
+    const double sealed = snap->sealed ? snap->sealed->TotalOf(key) : 0.0;
+    return snap->batch->TotalOf(key) + sealed + pipeline->speed().TotalOf(key);
   }
 
   std::vector<std::pair<std::string, double>> QueryTopK(size_t k) {
     std::lock_guard<std::mutex> lock(mu);
     std::map<std::string, double> merged;
-    const auto batch = pipeline->serving().CurrentBatchView();
-    for (const auto& [key, total] : batch->TopK(2 * k)) merged[key] = total;
+    const auto snap = pipeline->serving().Snapshot();
+    for (const auto& [key, total] : snap->batch->TopK(2 * k)) {
+      merged[key] = total;
+    }
+    if (snap->sealed) {
+      for (const auto& [key, total] : snap->sealed->TopK(2 * k)) {
+        merged[key] += total;
+      }
+    }
     for (const auto& [key, total] : pipeline->speed().TopK(2 * k)) {
       merged[key] += total;
     }

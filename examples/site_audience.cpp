@@ -133,8 +133,10 @@ int main() {
   partner.join();
   audit.join();
   // Everything ingested, nothing published yet past the last interval:
-  // force a fresh snapshot so the final answers cover the whole stream.
+  // force a fresh snapshot so the final answers cover the whole stream,
+  // and let the last background recompute land before counting them.
   pipeline.PublishSpeedSnapshot();
+  pipeline.WaitForBatch();
 
   std::printf("\nbatch recomputes run: %llu; records awaiting next batch: "
               "%llu\n",

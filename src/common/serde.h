@@ -136,7 +136,9 @@ class ByteReader {
     uint64_t n = 0;  // see GetI64: GCC can't see GetVarint's success path
 
     STREAMLIB_RETURN_NOT_OK(GetVarint(&n));
-    if (pos_ + n > len_) return Status::Corruption("string: truncated buffer");
+    // Compared against what is left: `pos_ + n` wraps for a length near
+    // 2^64.
+    if (n > len_ - pos_) return Status::Corruption("string: truncated buffer");
     out->assign(reinterpret_cast<const char*>(data_ + pos_), n);
     pos_ += n;
     return Status::OK();
@@ -149,7 +151,7 @@ class ByteReader {
 
  private:
   Status GetFixed(void* out, size_t n) {
-    if (pos_ + n > len_) return Status::Corruption("fixed: truncated buffer");
+    if (n > len_ - pos_) return Status::Corruption("fixed: truncated buffer");
     std::memcpy(out, data_ + pos_, n);
     pos_ += n;
     return Status::OK();

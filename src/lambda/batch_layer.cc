@@ -15,6 +15,15 @@ std::string DistinctKey(const std::string& prefix) {
   return prefix + "/distinct_keys";
 }
 std::string MetaKey(const std::string& prefix) { return prefix + "/meta"; }
+
+/// Builds `view->ranked` from its totals: total descending, key ascending.
+void Rank(BatchView* view) {
+  std::vector<std::pair<std::string, double>>& ranked = view->ranked;
+  ranked.assign(view->key_totals.begin(), view->key_totals.end());
+  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
+    return a.second != b.second ? a.second > b.second : a.first < b.first;
+  });
+}
 }  // namespace
 
 double BatchView::TotalOf(const std::string& key) const {
@@ -23,13 +32,8 @@ double BatchView::TotalOf(const std::string& key) const {
 }
 
 std::vector<std::pair<std::string, double>> BatchView::TopK(size_t k) const {
-  std::vector<std::pair<std::string, double>> all(key_totals.begin(),
-                                                  key_totals.end());
-  std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
-    return a.second != b.second ? a.second > b.second : a.first < b.first;
-  });
-  if (all.size() > k) all.resize(k);
-  return all;
+  return std::vector<std::pair<std::string, double>>(
+      ranked.begin(), ranked.begin() + std::min(k, ranked.size()));
 }
 
 void BatchView::SnapshotTo(platform::KvCheckpointStore* store,
@@ -73,11 +77,14 @@ Result<BatchView> BatchView::RestoreFrom(
     if (!std::isfinite(total)) {
       return Status::Corruption("batch view: malformed total");
     }
-    view.key_totals[key] = total;
+    if (!view.key_totals.emplace(std::move(key), total).second) {
+      return Status::Corruption("batch view: repeated key");
+    }
   }
   if (!r.AtEnd()) {
     return Status::Corruption("batch view: trailing bytes");
   }
+  Rank(&view);
   return view;
 }
 
@@ -89,14 +96,13 @@ BatchView BatchLayer::RecomputePrefix(const MasterLog& log,
                                       uint64_t through_offset) const {
   BatchView view;
   view.through_offset = std::min<uint64_t>(through_offset, log.size());
-  std::vector<LogRecord> records;
-  log.Read(0, view.through_offset, &records);
   HyperLogLog distinct(12);
-  for (const LogRecord& r : records) {
+  log.Scan(0, view.through_offset, [&](const LogRecord& r) {
     view.key_totals[r.key] += r.value;
     distinct.Add(r.key);
-  }
+  });
   view.distinct_keys_blob = state::ToBlob(distinct);
+  Rank(&view);
   return view;
 }
 

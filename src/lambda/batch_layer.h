@@ -21,6 +21,11 @@ struct BatchView {
   uint64_t through_offset = 0;  ///< exclusive end of the covered prefix
   std::unordered_map<std::string, double> key_totals;  ///< exact sums
 
+  /// Every key by total descending, then key ascending. Built once with
+  /// the view (RecomputePrefix, RestoreFrom), so TopK copies k entries
+  /// instead of sorting the whole map on each query.
+  std::vector<std::pair<std::string, double>> ranked;
+
   /// Cardinality of the key set as a versioned SketchBlob (HyperLogLog,
   /// precision 12). Kept in envelope form so the serving layer merges it
   /// with the speed layer's blob through the state contract, and so the
@@ -30,7 +35,8 @@ struct BatchView {
   /// Exact total for a key over the covered prefix (0 if absent).
   double TotalOf(const std::string& key) const;
 
-  /// Top-k keys by total, descending.
+  /// Top-k keys by total, descending (ties by key): the first k of
+  /// `ranked`.
   std::vector<std::pair<std::string, double>> TopK(size_t k) const;
 
   /// Persists the view into `store` under `prefix` — the distinct-key
@@ -39,15 +45,16 @@ struct BatchView {
                   const std::string& prefix) const;
 
   /// Rebuilds a view previously written by SnapshotTo. Corrupt or missing
-  /// entries surface as the underlying Status.
+  /// entries (a repeated key included) surface as the underlying Status.
   static Result<BatchView> RestoreFrom(const platform::KvCheckpointStore& store,
                                        const std::string& prefix);
 };
 
-/// The batch layer: recomputes a BatchView from scratch over the current
-/// master-log prefix. Recomputation latency is what the Lambda Architecture
-/// trades against freshness — the F1 bench measures staleness by
-/// controlling how often this runs.
+/// The batch layer: recomputes a BatchView from scratch over a master-log
+/// prefix. Recomputation latency is what the Lambda Architecture trades
+/// against freshness — the F1 bench measures staleness by controlling how
+/// often this runs. A recompute scans the log in place, so it can run on
+/// another thread while the writer appends past its prefix.
 class BatchLayer {
  public:
   BatchLayer() = default;
@@ -55,7 +62,8 @@ class BatchLayer {
   /// Full recompute over log[0, log.size()). O(prefix length).
   BatchView Recompute(const MasterLog& log) const;
 
-  /// Recompute over an explicit prefix log[0, through_offset).
+  /// Recompute over an explicit prefix log[0, through_offset), bounded to
+  /// the log's end.
   BatchView RecomputePrefix(const MasterLog& log,
                             uint64_t through_offset) const;
 };

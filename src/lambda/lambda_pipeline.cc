@@ -38,11 +38,28 @@ LambdaPipeline::LambdaPipeline(const LambdaConfig& config)
   const Status status = config.Validate();
   STREAMLIB_CHECK_MSG(status.ok(), "invalid LambdaConfig: %s",
                       status.ToString().c_str());
+  worker_ = std::thread(&LambdaPipeline::RunWorker, this);
+}
+
+LambdaPipeline::~LambdaPipeline() {
+  WaitForBatch();
+  {
+    std::lock_guard<std::mutex> lock(batch_mu_);
+    stopping_ = true;
+  }
+  batch_cv_.notify_all();
+  worker_.join();
 }
 
 void LambdaPipeline::Ingest(int64_t timestamp, const std::string& key,
                             double value) {
   std::lock_guard<std::mutex> lock(writer_mu_);
+  // This record makes the next cut due. A recompute still in flight must
+  // land first — the one ingest wait — so the sealed view it absorbs is
+  // gone before the next one is sealed.
+  const bool cut_due =
+      log_.size() + 1 - last_cut_ >= config_.batch_interval_records;
+  if (cut_due) WaitForBatch();
   const uint64_t offset = log_.Append(timestamp, key, value);
   LogRecord record;
   record.offset = offset;
@@ -52,32 +69,56 @@ void LambdaPipeline::Ingest(int64_t timestamp, const std::string& key,
   if (speed_.Ingest(record)) {
     serving_.RefreshSpeedView();  // A fresh SpeedView was published.
   }
+  if (cut_due) CutLocked();
+}
 
-  if (log_.size() - serving_.BatchThroughOffset() >=
-      config_.batch_interval_records) {
-    RunBatchNowLocked();
+void LambdaPipeline::CutLocked() {
+  // Hand-off order matters: seal the speed layer first (it restarts its
+  // live view empty at the cut), then compose batch + sealed + live in ONE
+  // snapshot swap. Writers are serialized on writer_mu_, so no record can
+  // land between the seal and that swap, and readers see either the old
+  // views or all three — never the live view without the sealed one.
+  std::shared_ptr<const SpeedView> sealed = speed_.Seal();
+  const uint64_t cut = sealed->through_offset();
+  serving_.Seal(std::move(sealed));
+  last_cut_ = log_.size();
+  {
+    std::lock_guard<std::mutex> lock(batch_mu_);
+    cut_ = cut;
+    in_flight_ = true;
+  }
+  batch_cv_.notify_all();
+}
+
+void LambdaPipeline::RunWorker() {
+  std::unique_lock<std::mutex> lock(batch_mu_);
+  for (;;) {
+    batch_cv_.wait(lock, [this] { return in_flight_ || stopping_; });
+    if (stopping_) return;
+    const uint64_t cut = cut_;
+    lock.unlock();
+    // The prefix [0, cut) never changes, so the scan needs no writer lock.
+    // The install drops the sealed view in the same swap.
+    serving_.InstallBatchView(batch_.RecomputePrefix(log_, cut));
+    lock.lock();
+    in_flight_ = false;
+    batch_recomputes_++;
+    batch_cv_.notify_all();
   }
 }
 
-void LambdaPipeline::RunBatchNow() {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  RunBatchNowLocked();
+void LambdaPipeline::WaitForBatch() const {
+  std::unique_lock<std::mutex> lock(batch_mu_);
+  batch_cv_.wait(lock, [this] { return !in_flight_; });
 }
 
-void LambdaPipeline::RunBatchNowLocked() {
-  BatchView view = batch_.Recompute(log_);
-  const uint64_t covered = view.through_offset;
-  // Hand-off order matters: reset the speed layer to the batch boundary
-  // first (publishing an empty suffix view), then install the batch view,
-  // which composes the new (batch, speed) pair in ONE atomic snapshot swap.
-  // Readers either see the old pair (old batch + old suffix) or the new
-  // pair (new batch + empty suffix) — never a torn mix. Writers are
-  // serialized on writer_mu_, so no record can be ingested between the
-  // recompute and the reset (the data-loss race the unserialized hand-off
-  // had).
-  speed_.Reset(covered);
-  serving_.InstallBatchView(std::move(view));
-  batch_recomputes_++;
+void LambdaPipeline::RunBatchNow() {
+  {
+    std::lock_guard<std::mutex> lock(writer_mu_);
+    WaitForBatch();
+    CutLocked();
+  }
+  WaitForBatch();
 }
 
 void LambdaPipeline::PublishSpeedSnapshot() {
@@ -87,9 +128,10 @@ void LambdaPipeline::PublishSpeedSnapshot() {
 }
 
 Status LambdaPipeline::SaveViews(const std::string& path) const {
-  // Writers are locked out so the (batch, speed) image is one consistent
-  // pair even while ingest threads are running.
+  // Writers are locked out and no recompute is in flight, so the image is
+  // one (batch, speed) pair that meets, even while ingest threads run.
   std::lock_guard<std::mutex> lock(writer_mu_);
+  WaitForBatch();
   platform::KvCheckpointStore store;
   serving_.CurrentBatchView()->SnapshotTo(&store, "batch");
   speed_.SnapshotTo(&store, "speed");
@@ -98,15 +140,18 @@ Status LambdaPipeline::SaveViews(const std::string& path) const {
 
 Status LambdaPipeline::LoadViews(const std::string& path) {
   std::lock_guard<std::mutex> lock(writer_mu_);
+  WaitForBatch();
   platform::KvCheckpointStore store;
   STREAMLIB_RETURN_NOT_OK(store.LoadFromFile(path));
   Result<BatchView> view = BatchView::RestoreFrom(store, "batch");
   STREAMLIB_RETURN_NOT_OK(view.status());
-  // RestoreFrom validates every blob before mutating, so ordering it first
+  // RestoreFrom validates every blob — and that the speed view starts
+  // where the batch view ends — before mutating, so ordering it first
   // means a corrupt file cannot leave the pipeline half-restored. The
   // restore publishes a fresh SpeedView; InstallBatchView then pairs it
   // with the restored batch view in one snapshot swap.
-  STREAMLIB_RETURN_NOT_OK(speed_.RestoreFrom(store, "speed"));
+  STREAMLIB_RETURN_NOT_OK(
+      speed_.RestoreFrom(store, "speed", view.value().through_offset));
   serving_.InstallBatchView(std::move(view).value());
   return Status::OK();
 }

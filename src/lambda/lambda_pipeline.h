@@ -1,9 +1,11 @@
 #ifndef STREAMLIB_LAMBDA_LAMBDA_PIPELINE_H_
 #define STREAMLIB_LAMBDA_LAMBDA_PIPELINE_H_
 
+#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/status.h"
@@ -16,8 +18,11 @@ namespace streamlib::lambda {
 
 /// Pipeline tuning knobs.
 struct LambdaConfig {
-  /// Batch recompute triggers after this many new records since the last
-  /// batch view (the staleness/work trade-off the F1 bench sweeps).
+  /// A batch recompute starts once this many records have arrived since
+  /// the last cut (the staleness/work trade-off the F1 bench sweeps). It
+  /// runs in the background; the records not yet in the batch view
+  /// (SpeedSuffixLength) stay below 2 × this while one is in flight, and
+  /// below this once it lands (LambdaPipeline::WaitForBatch).
   uint64_t batch_interval_records = 10000;
   uint32_t cms_width = 2048;   ///< speed-layer Count-Min width
   uint32_t cms_depth = 4;      ///< speed-layer Count-Min depth
@@ -47,21 +52,37 @@ struct LambdaConfig {
 ///   5. Queries merge batch + real-time views.
 ///
 /// Concurrency (DESIGN.md §14): writers — Ingest, RunBatchNow, LoadViews —
-/// serialize on one pipeline mutex, which makes the batch hand-off atomic
-/// with respect to ingest (no record can land in the speed layer while its
-/// offset range is being absorbed into a batch view). Readers never take
-/// that mutex: every query runs against an immutable ServingSnapshot
-/// obtained by a single atomic load, so read throughput scales with reader
-/// threads while ingest runs at full rate.
+/// serialize on one pipeline mutex. Every batch recompute runs on one
+/// background worker the pipeline owns. A cut at the log end seals the
+/// speed layer's [b, cut) under that mutex and hands the worker the prefix
+/// [0, cut); ingest goes on into a fresh live speed view while the worker
+/// scans the log, and one snapshot swap then installs the batch view over
+/// [0, cut) and drops the sealed view. At most one recompute is in flight:
+/// when the next cut comes due before it lands, Ingest waits for it — the
+/// only wait left on the ingest path, which keeps the cut points at
+/// multiples of batch_interval_records and SpeedSuffixLength() below twice
+/// that. Readers never take the writer mutex: every query runs against an
+/// immutable ServingSnapshot obtained by a single atomic load, so read
+/// throughput scales with reader threads while ingest runs at full rate.
 class LambdaPipeline {
  public:
   explicit LambdaPipeline(const LambdaConfig& config);
 
+  /// Waits for an in-flight recompute to land, then stops the worker.
+  ~LambdaPipeline();
+
+  LambdaPipeline(const LambdaPipeline&) = delete;
+  LambdaPipeline& operator=(const LambdaPipeline&) = delete;
+
   /// Ingests one event into both paths (Figure 1, step 1).
   void Ingest(int64_t timestamp, const std::string& key, double value);
 
-  /// Forces a batch recompute over the entire current log.
+  /// Cuts at the current log end and returns once the batch view over the
+  /// whole log, as of the call, has landed.
   void RunBatchNow();
+
+  /// Blocks until no batch recompute is in flight.
+  void WaitForBatch() const;
 
   /// Forces publication of a fresh speed view + serving snapshot, so the
   /// very next query sees everything ingested so far (bypasses the
@@ -94,8 +115,9 @@ class LambdaPipeline {
   const MasterLog& log() const { return log_; }
   const ServingLayer& serving() const { return serving_; }
   const SpeedLayer& speed() const { return speed_; }
+  /// Batch views landed so far.
   uint64_t batch_recomputes() const {
-    std::lock_guard<std::mutex> lock(writer_mu_);
+    std::lock_guard<std::mutex> lock(batch_mu_);
     return batch_recomputes_;
   }
 
@@ -111,17 +133,31 @@ class LambdaPipeline {
   }
 
  private:
-  void RunBatchNowLocked();
+  /// Seals the speed layer at the log end and hands the prefix to the
+  /// worker. Caller holds writer_mu_, and no recompute is in flight.
+  void CutLocked();
+
+  /// The worker: recomputes each handed-over prefix and installs it.
+  void RunWorker();
 
   LambdaConfig config_;
   MasterLog log_;
   BatchLayer batch_;
   SpeedLayer speed_;
   ServingLayer serving_;
-  /// Serializes writers (ingest / batch hand-off / restore). Queries never
-  /// take it.
+  /// Serializes writers (ingest / cut / restore). Queries never take it.
   mutable std::mutex writer_mu_;
+  uint64_t last_cut_ = 0;  ///< log end at the last cut; under writer_mu_
+
+  /// Hand-off to the worker. A writer sets `cut_` and `in_flight_`; the
+  /// worker clears `in_flight_` once the view over [0, cut_) has landed.
+  mutable std::mutex batch_mu_;
+  mutable std::condition_variable batch_cv_;
+  uint64_t cut_ = 0;
+  bool in_flight_ = false;
+  bool stopping_ = false;
   uint64_t batch_recomputes_ = 0;
+  std::thread worker_;  ///< runs RunWorker; joined by the destructor
 };
 
 }  // namespace streamlib::lambda

@@ -4,29 +4,21 @@ namespace streamlib::lambda {
 
 uint64_t MasterLog::Append(int64_t timestamp, std::string key, double value) {
   std::lock_guard<std::mutex> lock(mu_);
-  const uint64_t offset = records_.size();
-  records_.push_back(LogRecord{offset, timestamp, std::move(key), value});
+  const uint64_t offset = size_.load(std::memory_order_relaxed);
+  if (offset % kChunkRecords == 0) {
+    chunks_.emplace_back().reserve(kChunkRecords);
+  }
+  chunks_.back().push_back(LogRecord{offset, timestamp, std::move(key), value});
+  size_.store(offset + 1, std::memory_order_release);
   return offset;
-}
-
-uint64_t MasterLog::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return records_.size();
-}
-
-void MasterLog::Read(uint64_t from, uint64_t to,
-                     std::vector<LogRecord>* out) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const uint64_t end = std::min<uint64_t>(to, records_.size());
-  for (uint64_t i = from; i < end; i++) out->push_back(records_[i]);
 }
 
 Result<LogRecord> MasterLog::Get(uint64_t offset) const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (offset >= records_.size()) {
+  if (offset >= size()) {
     return Status::OutOfRange("offset beyond log end");
   }
-  return records_[offset];
+  return chunks_[offset / kChunkRecords][offset % kChunkRecords];
 }
 
 }  // namespace streamlib::lambda

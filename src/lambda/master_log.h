@@ -1,6 +1,8 @@
 #ifndef STREAMLIB_LAMBDA_MASTER_LOG_H_
 #define STREAMLIB_LAMBDA_MASTER_LOG_H_
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -19,14 +21,24 @@ struct LogRecord {
 };
 
 /// The Lambda Architecture's *master dataset* (Figure 1, step 2): an
-/// immutable, append-only record log. Batch layer recomputations read a
-/// consistent prefix snapshot; the speed layer tails new appends. Thread-safe.
+/// immutable, append-only record log. Batch layer recomputations scan a
+/// prefix while the writer keeps appending; the speed layer tails new
+/// appends. Thread-safe.
+///
+/// Records live in fixed-size chunks, each allocated at full capacity when
+/// it opens, so an append never moves a record and the log never regrows
+/// its storage mid-stream. A scan holds the log mutex only long enough to
+/// copy the chunk directory; it then reads records that can no longer
+/// change, concurrently with appends.
 ///
 /// Substitution note (DESIGN.md §2): stands in for the HDFS/Kafka-backed
 /// master dataset of production Lambda deployments; append-only + offset
 /// semantics are what the batch/speed layers rely on, and both are preserved.
 class MasterLog {
  public:
+  /// Records per chunk (a power of two, so offset -> slot is a shift).
+  static constexpr uint64_t kChunkRecords = uint64_t{1} << 16;
+
   MasterLog() = default;
 
   MasterLog(const MasterLog&) = delete;
@@ -35,19 +47,38 @@ class MasterLog {
   /// Appends a record; returns its offset.
   uint64_t Append(int64_t timestamp, std::string key, double value);
 
-  /// Number of records currently in the log.
-  uint64_t size() const;
+  /// Number of records currently in the log (lock-free).
+  uint64_t size() const { return size_.load(std::memory_order_acquire); }
 
-  /// Copies records with offsets in [from, to) into `out`. `to` may exceed
-  /// size(); reads are bounded to the current end.
-  void Read(uint64_t from, uint64_t to, std::vector<LogRecord>* out) const;
+  /// Calls `fn(const LogRecord&)` for every record with offset in
+  /// [from, to), in offset order. `to` may exceed size(); the scan is
+  /// bounded to the end at the time of the call.
+  template <typename Fn>
+  void Scan(uint64_t from, uint64_t to, Fn&& fn) const {
+    std::vector<const LogRecord*> chunks;
+    uint64_t end = 0;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      end = std::min(to, size());
+      chunks.reserve(chunks_.size());
+      for (const std::vector<LogRecord>& chunk : chunks_) {
+        chunks.push_back(chunk.data());
+      }
+    }
+    for (uint64_t i = from; i < end; i++) {
+      fn(chunks[i / kChunkRecords][i % kChunkRecords]);
+    }
+  }
 
   /// Reads a single record.
   Result<LogRecord> Get(uint64_t offset) const;
 
  private:
   mutable std::mutex mu_;
-  std::vector<LogRecord> records_;
+  /// Chunk i holds offsets [i * kChunkRecords, (i + 1) * kChunkRecords).
+  /// Growing the directory moves the chunk vectors, never their records.
+  std::vector<std::vector<LogRecord>> chunks_;
+  std::atomic<uint64_t> size_{0};
 };
 
 }  // namespace streamlib::lambda

@@ -11,15 +11,19 @@
 namespace streamlib::lambda {
 
 double ServingSnapshot::TotalOf(const std::string& key) const {
-  return batch->TotalOf(key) + speed->TotalOf(key);
+  const double sealed_total = sealed ? sealed->TotalOf(key) : 0.0;
+  return batch->TotalOf(key) + sealed_total + speed->TotalOf(key);
 }
 
 std::vector<std::pair<std::string, double>> ServingSnapshot::TopK(
     size_t k) const {
-  // Candidates: top keys of either view (taking 2k from each side bounds
-  // the merge error the same way distributed top-k merges do).
+  // Candidates: top keys of every view (taking 2k from each bounds the
+  // merge error the same way distributed top-k merges do).
   std::set<std::string> candidates;
   for (const auto& [key, total] : batch->TopK(2 * k)) candidates.insert(key);
+  if (sealed) {
+    for (const auto& [key, total] : sealed->TopK(2 * k)) candidates.insert(key);
+  }
   for (const auto& [key, total] : speed->TopK(2 * k)) candidates.insert(key);
 
   std::vector<std::pair<std::string, double>> merged;
@@ -37,19 +41,29 @@ std::vector<std::pair<std::string, double>> ServingSnapshot::TopK(
 ServingLayer::ServingLayer(const SpeedLayer* speed) : speed_(speed) {
   STREAMLIB_CHECK(speed != nullptr);
   std::lock_guard<std::mutex> lock(compose_mu_);
-  PublishLocked(std::make_shared<const BatchView>(), speed_->View());
+  PublishLocked(std::make_shared<const BatchView>(), nullptr, speed_->View());
 }
 
 void ServingLayer::PublishLocked(std::shared_ptr<const BatchView> batch,
+                                 std::shared_ptr<const SpeedView> sealed,
                                  std::shared_ptr<const SpeedView> speed) {
+  STREAMLIB_DCHECK(batch->through_offset ==
+                   (sealed ? sealed->from_offset : speed->from_offset));
+  STREAMLIB_DCHECK(!sealed || sealed->through_offset() == speed->from_offset);
   auto snap = std::make_shared<ServingSnapshot>();
   snap->version = ++next_version_;
   snap->batch = std::move(batch);
+  snap->sealed = std::move(sealed);
   snap->speed = std::move(speed);
   // Fold the distinct-key union once per snapshot. Both layers hand over
   // their sketch through the state contract, so swapping the distinct
   // sketch type (e.g. HLL -> KMV) is a TypeId change, not a serving change.
   HyperLogLog merged = snap->speed->distinct;
+  if (snap->sealed) {
+    const Status status = merged.Merge(snap->sealed->distinct);
+    STREAMLIB_CHECK_MSG(status.ok(), "sealed distinct sketch: %s",
+                        status.ToString().c_str());
+  }
   if (!snap->batch->distinct_keys_blob.empty()) {
     const Status status =
         state::MergeBlob(merged, snap->batch->distinct_keys_blob);
@@ -60,10 +74,15 @@ void ServingLayer::PublishLocked(std::shared_ptr<const BatchView> batch,
   snap_.store(std::shared_ptr<const ServingSnapshot>(std::move(snap)));
 }
 
+void ServingLayer::Seal(std::shared_ptr<const SpeedView> sealed) {
+  std::lock_guard<std::mutex> lock(compose_mu_);
+  PublishLocked(snap_.load()->batch, std::move(sealed), speed_->View());
+}
+
 void ServingLayer::InstallBatchView(BatchView view) {
   auto shared = std::make_shared<const BatchView>(std::move(view));
   std::lock_guard<std::mutex> lock(compose_mu_);
-  PublishLocked(std::move(shared), speed_->View());
+  PublishLocked(std::move(shared), nullptr, speed_->View());
 }
 
 void ServingLayer::RefreshSpeedView() {
@@ -71,9 +90,9 @@ void ServingLayer::RefreshSpeedView() {
   std::shared_ptr<const SpeedView> speed = speed_->View();
   const std::shared_ptr<const ServingSnapshot> current = snap_.load();
   // Two refreshes can race to the composition lock; whichever loses must
-  // not regress the pair to an older speed view.
+  // not regress the snapshot to an older speed view.
   if (speed->version <= current->speed->version) return;
-  PublishLocked(current->batch, std::move(speed));
+  PublishLocked(current->batch, current->sealed, std::move(speed));
 }
 
 }  // namespace streamlib::lambda

@@ -13,17 +13,25 @@
 
 namespace streamlib::lambda {
 
-/// One consistent (BatchView, SpeedView) pair — the unit of snapshot
-/// isolation for the whole read path. Immutable once composed: every query
-/// a reader makes against the same ServingSnapshot sees one frozen state of
-/// the world, no matter how much ingest or how many batch recomputes race
-/// with it. Invariant: batch->through_offset == speed->from_offset (the
-/// speed view covers exactly the suffix the batch view does not).
+/// One consistent set of views — the unit of snapshot isolation for the
+/// whole read path. Immutable once composed: every query a reader makes
+/// against the same ServingSnapshot sees one frozen state of the world, no
+/// matter how much ingest or how many batch recomputes race with it.
+///
+/// Between batch hand-offs it is batch [0, b) + live speed [b, now). While
+/// a recompute over [0, cut) is in flight it is batch [0, b) + sealed speed
+/// [b, cut) + live speed [cut, now). Invariants (DESIGN.md §14): the views
+/// meet exactly, batch->through_offset == (sealed ? sealed->from_offset :
+/// speed->from_offset) and sealed->through_offset() == speed->from_offset,
+/// so every record is counted in exactly one view.
 struct ServingSnapshot {
   uint64_t version = 0;  ///< monotone composition counter
   std::shared_ptr<const BatchView> batch;
-  std::shared_ptr<const SpeedView> speed;
-  /// HLL union of both views, folded at composition time so the per-query
+  /// The speed range the in-flight recompute absorbs; null between
+  /// hand-offs.
+  std::shared_ptr<const SpeedView> sealed;
+  std::shared_ptr<const SpeedView> speed;  ///< the live speed view
+  /// HLL union of all views, folded at composition time so the per-query
   /// cost is a load instead of a sketch merge.
   double distinct_estimate = 0;
 
@@ -34,7 +42,7 @@ struct ServingSnapshot {
   /// Merged total for a key: exact batch prefix + approximate suffix.
   double TotalOf(const std::string& key) const;
 
-  /// Merged top-k: candidate keys from both views, ranked by merged total.
+  /// Merged top-k: candidate keys from every view, ranked by merged total.
   std::vector<std::pair<std::string, double>> TopK(size_t k) const;
 
   /// Merged distinct-key estimate (precomputed at composition).
@@ -49,20 +57,26 @@ struct ServingSnapshot {
 /// Read path (DESIGN.md §14): every query runs against an immutable
 /// ServingSnapshot obtained by one atomic shared_ptr load — no mutex is
 /// ever acquired while serving TotalOf/TopK/DistinctKeys, so readers never
-/// contend with ingest or with each other. Writers (batch installs and
-/// speed-view refreshes) serialize on a small composition mutex and swap
-/// in whole snapshots RCU-style.
+/// contend with ingest or with each other. Writers (seals, batch installs
+/// and speed-view refreshes) serialize on a small composition mutex and
+/// swap in whole snapshots RCU-style.
 class ServingLayer {
  public:
   /// \param speed  the real-time view source to compose against (not owned).
   explicit ServingLayer(const SpeedLayer* speed);
 
-  /// Installs a freshly recomputed batch view, paired atomically with the
-  /// speed layer's *current* published view. The caller (LambdaPipeline)
-  /// resets the speed layer to the batch boundary first, so the composed
-  /// pair satisfies batch.through_offset == speed.from_offset; readers
-  /// never observe the new batch view with the old suffix (double counts)
-  /// or the old batch view with the reset suffix (lost records).
+  /// Begins a hand-off: pairs the current batch view [0, b) with `sealed`
+  /// [b, cut), which SpeedLayer::Seal just froze, and with the speed
+  /// layer's restarted live view [cut, ...). Readers see either the old
+  /// views or all three, never the live view without the sealed one (lost
+  /// records).
+  void Seal(std::shared_ptr<const SpeedView> sealed);
+
+  /// Ends a hand-off: installs a batch view over [0, cut) and drops the
+  /// sealed view it absorbs, in one snapshot swap with the speed layer's
+  /// current live view. Readers never observe the new batch view together
+  /// with the sealed view (double counts). Without a sealed view (a
+  /// restore), `view` must end where the live view starts.
   void InstallBatchView(BatchView view);
 
   /// Re-composes the current snapshot against the speed layer's latest
@@ -79,7 +93,7 @@ class ServingLayer {
   /// Merged total for a key: exact batch prefix + approximate suffix.
   double TotalOf(const std::string& key) const { return Snapshot()->TotalOf(key); }
 
-  /// Merged top-k: candidate keys from both views, ranked by merged total.
+  /// Merged top-k: candidate keys from every view, ranked by merged total.
   std::vector<std::pair<std::string, double>> TopK(size_t k) const {
     return Snapshot()->TopK(k);
   }
@@ -100,6 +114,7 @@ class ServingLayer {
  private:
   /// Composes + publishes a snapshot. Caller holds compose_mu_.
   void PublishLocked(std::shared_ptr<const BatchView> batch,
+                     std::shared_ptr<const SpeedView> sealed,
                      std::shared_ptr<const SpeedView> speed);
 
   const SpeedLayer* speed_;

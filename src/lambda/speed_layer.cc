@@ -34,7 +34,7 @@ SpeedLayer::SpeedLayer(uint32_t cms_width, uint32_t cms_depth,
   PublishLocked();  // View() is never null, even before the first ingest.
 }
 
-std::shared_ptr<const SpeedView> SpeedLayer::PublishLocked() {
+std::shared_ptr<const SpeedView> SpeedLayer::FreezeLocked() {
   auto view = std::make_shared<SpeedView>(cms_width_, cms_depth_,
                                           topk_capacity_, hll_precision_);
   view->version = ++next_version_;
@@ -43,8 +43,12 @@ std::shared_ptr<const SpeedView> SpeedLayer::PublishLocked() {
   view->totals = totals_;
   view->topk = topk_;
   view->distinct = distinct_;
+  return view;
+}
+
+std::shared_ptr<const SpeedView> SpeedLayer::PublishLocked() {
+  std::shared_ptr<const SpeedView> frozen = FreezeLocked();
   since_publish_ = 0;
-  std::shared_ptr<const SpeedView> frozen = std::move(view);
   view_.store(frozen);
   return frozen;
 }
@@ -107,7 +111,8 @@ void SpeedLayer::SnapshotTo(platform::KvCheckpointStore* store,
 }
 
 Status SpeedLayer::RestoreFrom(const platform::KvCheckpointStore& store,
-                               const std::string& prefix) {
+                               const std::string& prefix,
+                               uint64_t from_offset) {
   Result<std::vector<uint8_t>> totals_blob = store.Fetch(prefix + "/totals");
   STREAMLIB_RETURN_NOT_OK(totals_blob.status());
   Result<CountMinSketch> totals =
@@ -130,32 +135,41 @@ Status SpeedLayer::RestoreFrom(const platform::KvCheckpointStore& store,
   Result<std::vector<uint8_t>> meta = store.Fetch(prefix + "/meta");
   STREAMLIB_RETURN_NOT_OK(meta.status());
   ByteReader r(meta.value());
-  uint64_t from_offset = 0;
+  uint64_t saved_from = 0;
   uint64_t ingested = 0;
-  STREAMLIB_RETURN_NOT_OK(r.GetVarint(&from_offset));
+  STREAMLIB_RETURN_NOT_OK(r.GetVarint(&saved_from));
   STREAMLIB_RETURN_NOT_OK(r.GetVarint(&ingested));
   if (!r.AtEnd()) {
     return Status::Corruption("speed layer: trailing meta bytes");
+  }
+  if (saved_from != from_offset) {
+    return Status::Corruption(
+        "speed layer: suffix does not start where the batch view ends");
+  }
+  if (ingested > UINT64_MAX - saved_from) {
+    return Status::Corruption("speed layer: covered range overflows");
   }
 
   std::lock_guard<std::mutex> lock(mu_);
   totals_ = std::move(totals).value();
   topk_ = std::move(topk).value();
   distinct_ = std::move(distinct).value();
-  from_offset_ = from_offset;
+  from_offset_ = saved_from;
   ingested_ = ingested;
   PublishLocked();  // Readers see the restored state immediately.
   return Status::OK();
 }
 
-void SpeedLayer::Reset(uint64_t from_offset) {
+std::shared_ptr<const SpeedView> SpeedLayer::Seal() {
   std::lock_guard<std::mutex> lock(mu_);
-  from_offset_ = from_offset;
+  std::shared_ptr<const SpeedView> sealed = FreezeLocked();
+  from_offset_ += ingested_;
   ingested_ = 0;
   totals_ = CountMinSketch(cms_width_, cms_depth_, /*conservative=*/true);
   topk_ = SpaceSaving<std::string>(topk_capacity_);
   distinct_ = HyperLogLog(hll_precision_);
   PublishLocked();  // The hand-off always publishes (empty suffix view).
+  return sealed;
 }
 
 uint64_t SpeedLayer::from_offset() const {

@@ -57,9 +57,9 @@ struct SpeedView {
 /// SpaceSaving for top-k, HyperLogLog for cardinality — the Summingbird
 /// pattern). Thread-safe.
 ///
-/// Concurrency model (DESIGN.md §14): writers (Ingest/Reset/RestoreFrom)
+/// Concurrency model (DESIGN.md §14): writers (Ingest/Seal/RestoreFrom)
 /// serialize on an internal mutex; every `snapshot_interval` ingests — and
-/// on every Reset/Restore — the layer publishes an immutable SpeedView via
+/// on every Seal/Restore — the layer publishes an immutable SpeedView via
 /// an atomic shared_ptr swap. Queries against View() never contend with
 /// ingest. The live query methods (TotalOf/TopK/DistinctKeysBlob) remain
 /// for single-threaded exactness and as the mutex-merge baseline the
@@ -105,23 +105,29 @@ class SpeedLayer {
                   const std::string& prefix) const;
 
   /// Replaces this layer's state with a snapshot written by SnapshotTo and
-  /// publishes a fresh SpeedView of it. Corrupt or missing entries surface
-  /// as the underlying Status and leave the layer (and the published view)
-  /// untouched.
+  /// publishes a fresh SpeedView of it. The snapshot must cover a suffix
+  /// starting at `from_offset` (where the batch view it pairs with ends).
+  /// Corrupt or missing entries, and a snapshot that starts elsewhere,
+  /// surface as a non-OK Status and leave the layer (and the published
+  /// view) untouched.
   Status RestoreFrom(const platform::KvCheckpointStore& store,
-                     const std::string& prefix);
+                     const std::string& prefix, uint64_t from_offset);
 
-  /// Resets the layer to cover the suffix starting at `from_offset` — the
-  /// hand-off performed whenever a fresh batch view lands. All sketch state
-  /// is discarded (its information is now in the batch view) and an empty
-  /// SpeedView is published.
-  void Reset(uint64_t from_offset);
+  /// The speed half of a batch hand-off: freezes the live sketches as an
+  /// immutable view of [from_offset(), cut), where cut is the live end,
+  /// then restarts them empty at `cut` and publishes the empty view. The
+  /// sealed view answers for its range until a batch view over [0, cut)
+  /// lands; the serving layer drops it then.
+  std::shared_ptr<const SpeedView> Seal();
 
   uint64_t from_offset() const;
   uint64_t ingested() const;
   uint64_t snapshot_interval() const { return snapshot_interval_; }
 
  private:
+  /// Builds an immutable copy of the live state. Caller holds mu_.
+  std::shared_ptr<const SpeedView> FreezeLocked();
+
   /// Builds + publishes a view of the live state. Caller holds mu_.
   std::shared_ptr<const SpeedView> PublishLocked();
 

@@ -86,6 +86,11 @@ Status KvCheckpointStore::LoadFromFile(const std::string& path) {
   }
   uint64_t count = 0;
   STREAMLIB_RETURN_NOT_OK(r.GetVarint(&count));
+  // Every entry takes at least one byte, so a larger count is garbage;
+  // reject it before the reserve below sizes a table for it.
+  if (count > r.remaining()) {
+    return Status::Corruption("checkpoint entry count exceeds file size");
+  }
   // Decode into a staging map so a torn file (Corruption below) leaves the
   // live store untouched.
   std::unordered_map<std::string, Entry> staged;

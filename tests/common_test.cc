@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <set>
 #include <string>
@@ -266,6 +267,18 @@ TEST(SerdeTest, RoundTripStrings) {
   EXPECT_EQ(a, "");
   EXPECT_EQ(b, "hello");
   EXPECT_EQ(c, std::string(1000, 'x'));
+}
+
+// A string length near 2^64 must not wrap the bounds check: 10 varint
+// bytes of length plus 2 payload bytes is a truncated string.
+TEST(SerdeTest, StringLengthNearTwoTo64IsCorruption) {
+  ByteWriter w;
+  w.PutVarint(UINT64_MAX - 1);
+  w.PutU16(0);
+  ASSERT_EQ(w.bytes().size(), 12u);
+  ByteReader r(w.bytes());
+  std::string out;
+  EXPECT_EQ(r.GetString(&out).code(), StatusCode::kCorruption);
 }
 
 TEST(SerdeTest, TruncationIsCorruption) {

@@ -637,6 +637,25 @@ TEST(CheckpointRestoreEdgeTest, GarbageAndMissingFiles) {
   std::remove(path.c_str());
 }
 
+// An entry count the file's bytes cannot hold is Corruption, not an
+// attempt to size a table for 2^40 entries.
+TEST(CheckpointRestoreEdgeTest, HugeEntryCountIsCorruption) {
+  ByteWriter w;
+  w.PutU32(0x534c434bu);  // "SLCK"
+  w.PutU32(1);
+  w.PutVarint(uint64_t{1} << 40);
+  const std::string path = ::testing::TempDir() + "huge_count_ckpt.bin";
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fwrite(w.bytes().data(), 1, w.bytes().size(), f);
+  std::fclose(f);
+  KvCheckpointStore store;
+  store.Put("keep", {9});
+  EXPECT_EQ(store.LoadFromFile(path).code(), StatusCode::kCorruption);
+  EXPECT_EQ(store.Get("keep").value(), std::vector<uint8_t>{9});
+  std::remove(path.c_str());
+}
+
 TEST(CheckpointRestoreEdgeTest, RenamedComponentRestoreIsCleanError) {
   // A bolt renamed between checkpoint and restore must get a diagnosable
   // NotFound (and start empty), never someone else's state or UB.

@@ -421,6 +421,67 @@ TEST(QueryFrontendStressTest, ConcurrentReadersIngestAndBatchHandoffs) {
   EXPECT_NEAR(sum, static_cast<double>(kRecords), kRecords * 0.01);
 }
 
+// Background recomputes race four snapshot readers. Every snapshot, taken
+// before, during or after a hand-off, counts each ingested record in
+// exactly one of its views: the 37 keys' totals sum to its through offset.
+TEST(QueryFrontendStressTest, BackgroundRecomputeCountsEveryRecordOnce) {
+  LambdaConfig config;
+  config.batch_interval_records = 500;
+  config.speed_snapshot_interval_records = 16;
+  LambdaPipeline pipeline(config);
+  constexpr int kRecords = 60000;
+  constexpr int kReaders = 4;
+  std::atomic<bool> done{false};
+
+  std::thread writer([&] {
+    for (int i = 0; i < kRecords; i++) {
+      pipeline.Ingest(i, NumberedKey("key", i % 37), 1.0);
+    }
+    done.store(true, std::memory_order_release);
+  });
+
+  std::atomic<uint64_t> snapshots{0};
+  std::atomic<uint64_t> mid_handoff{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; r++) {
+    readers.emplace_back([&] {
+      uint64_t last_through = 0;
+      uint64_t seen = 0;
+      uint64_t sealed = 0;
+      while (!done.load(std::memory_order_acquire)) {
+        const auto snap = pipeline.serving().Snapshot();
+        seen++;
+        sealed += snap->sealed != nullptr;
+        const uint64_t through = snap->through_offset();
+        ASSERT_LE(snap->batch_through_offset(), through);
+        ASSERT_GE(through, last_through) << "through offset went backward";
+        last_through = through;
+        ASSERT_EQ(snap->batch_through_offset(),
+                  snap->sealed ? snap->sealed->from_offset
+                               : snap->speed->from_offset);
+        if (snap->sealed) {
+          ASSERT_EQ(snap->sealed->through_offset(), snap->speed->from_offset);
+        }
+        double sum = 0;
+        for (int k = 0; k < 37; k++) sum += snap->TotalOf(NumberedKey("key", k));
+        ASSERT_EQ(sum, static_cast<double>(through))
+            << "snapshot v" << snap->version
+            << (snap->sealed ? " (mid-hand-off)" : "");
+      }
+      snapshots.fetch_add(seen, std::memory_order_relaxed);
+      mid_handoff.fetch_add(sealed, std::memory_order_relaxed);
+    });
+  }
+
+  writer.join();
+  for (std::thread& reader : readers) reader.join();
+  pipeline.WaitForBatch();
+  EXPECT_EQ(pipeline.batch_recomputes(), kRecords / 500u);
+  EXPECT_GT(snapshots.load(), 0u);
+  // 120 recomputes each leave a sealed view up for a scan of the log.
+  EXPECT_GT(mid_handoff.load(), 0u);
+}
+
 // Same-version answers must be byte-identical: two queries that report the
 // same snapshot_version saw the same frozen (batch, speed) pair.
 TEST(QueryFrontendStressTest, SameVersionAnswersAreIdentical) {
