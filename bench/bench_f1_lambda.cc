@@ -13,12 +13,20 @@
 // readers x tenants, full-rate ingest in the background, mutex-merge
 // baseline vs QueryFrontend — and writes BENCH_lambda_serving.json
 // (`--out=PATH`, `--quick` for the CI smoke run).
+//
+// `--restore` runs only the F1-lambda/restore table: Save and Restore of
+// the master log at 10^5 and 10^6 records (10^4 with `--quick`), in a
+// process of its own so that its peak RSS is the restore's.
+
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <mutex>
@@ -184,6 +192,75 @@ void PrintTables() {
     Row("%6zu | %-10s %10.0f | %10.0f", r + 1, merged_top[r].first.c_str(),
         merged_top[r].second, exact[merged_top[r].first]);
   }
+}
+
+// ---------------------------------------------------------------------------
+// F1-lambda/restore: a restart loads the master log and recomputes the
+// views from it.
+// ---------------------------------------------------------------------------
+
+/// The process's peak resident set so far, in MB (Linux reports KB).
+double PeakRssMb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
+}
+
+/// Saves a log of each size and restores it into a fresh pipeline, sizes
+/// ascending so that each row's peak RSS is set by its own size. Returns
+/// nonzero if a restored pipeline does not answer exactly.
+int RunRestoreTable(bool quick) {
+  using bench::Row;
+  bench::TableTitle("F1-lambda/restore",
+                    "Save writes the master log; Restore loads it and "
+                    "recomputes the views");
+  Row("%10s | %10s %10s %12s | %12s", "records", "image B/rec", "save ms",
+      "restore ms", "peak RSS MB");
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "f1_lambda_restore.bin")
+          .string();
+  const std::vector<uint64_t> sizes =
+      quick ? std::vector<uint64_t>{10000}
+            : std::vector<uint64_t>{100000, 1000000};
+  bool exact = true;
+  for (uint64_t records : sizes) {
+    LambdaConfig config;
+    config.batch_interval_records = UINT64_MAX;  // No recompute while filling.
+    LambdaPipeline source(config);
+    workload::TextStreamGenerator gen(20000, 1.1, 61);
+    double top_total = 0;
+    for (uint64_t i = 0; i < records; i++) {
+      const std::string& tag = gen.Next();
+      top_total += tag == gen.TokenForRank(0) ? 1.0 : 0.0;
+      source.Ingest(static_cast<int64_t>(i), tag, 1.0);
+    }
+    WallTimer save_timer;
+    Status status = source.Save(path);
+    const double save_ms = save_timer.ElapsedSeconds() * 1e3;
+    const double bytes =
+        status.ok() ? static_cast<double>(std::filesystem::file_size(path))
+                    : 0.0;
+    LambdaPipeline restored(config);
+    WallTimer restore_timer;
+    if (status.ok()) status = restored.Restore(path);
+    const double restore_ms = restore_timer.ElapsedSeconds() * 1e3;
+    std::remove(path.c_str());
+    if (!status.ok() || restored.log().size() != records ||
+        restored.QueryTotal(gen.TokenForRank(0)) != top_total) {
+      Row("FAILED at %llu records: %s",
+          static_cast<unsigned long long>(records),
+          status.ToString().c_str());
+      exact = false;
+      continue;
+    }
+    Row("%10llu | %10.1f %10.1f %12.1f | %12.1f",
+        static_cast<unsigned long long>(records),
+        bytes / static_cast<double>(records), save_ms, restore_ms,
+        PeakRssMb());
+  }
+  Row("paper-shape check (Figure 1): the master dataset is the source of");
+  Row("truth; a restart rebuilds every view from it in O(records).");
+  return exact ? 0 : 1;
 }
 
 // ---------------------------------------------------------------------------
@@ -532,6 +609,7 @@ int RunServingMatrix(bool quick, const std::string& out_path) {
 
 int main(int argc, char** argv) {
   bool serving = false;
+  bool restore = false;
   bool quick = false;
   std::string out_path = "BENCH_lambda_serving.json";
   std::vector<char*> passthrough;
@@ -540,6 +618,8 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--serving") {
       serving = true;
+    } else if (arg == "--restore") {
+      restore = true;
     } else if (arg == "--quick") {
       quick = true;
     } else if (arg.rfind("--out=", 0) == 0) {
@@ -549,6 +629,7 @@ int main(int argc, char** argv) {
     }
   }
   if (serving) return RunServingMatrix(quick, out_path);
+  if (restore) return RunRestoreTable(quick);
 
   int bench_argc = static_cast<int>(passthrough.size());
   ::benchmark::Initialize(&bench_argc, passthrough.data());

@@ -6,9 +6,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/status.h"
+#include "core/cardinality/hyperloglog.h"
 #include "lambda/master_log.h"
-#include "platform/checkpoint.h"
 
 namespace streamlib::lambda {
 
@@ -22,15 +21,14 @@ struct BatchView {
   std::unordered_map<std::string, double> key_totals;  ///< exact sums
 
   /// Every key by total descending, then key ascending. Built once with
-  /// the view (RecomputePrefix, RestoreFrom), so TopK copies k entries
-  /// instead of sorting the whole map on each query.
+  /// the view (RecomputePrefix), so TopK copies k entries instead of
+  /// sorting the whole map on each query.
   std::vector<std::pair<std::string, double>> ranked;
 
-  /// Cardinality of the key set as a versioned SketchBlob (HyperLogLog,
-  /// precision 12). Kept in envelope form so the serving layer merges it
-  /// with the speed layer's blob through the state contract, and so the
-  /// view persists byte-for-byte through a KvCheckpointStore.
-  std::vector<uint8_t> distinct_keys_blob;
+  /// Cardinality of the key set (precision 12, which LambdaConfig holds
+  /// the speed layer to). The serving layer merges it with the speed
+  /// views' sketches once per snapshot.
+  HyperLogLog distinct_keys{12};
 
   /// Exact total for a key over the covered prefix (0 if absent).
   double TotalOf(const std::string& key) const;
@@ -38,16 +36,6 @@ struct BatchView {
   /// Top-k keys by total, descending (ties by key): the first k of
   /// `ranked`.
   std::vector<std::pair<std::string, double>> TopK(size_t k) const;
-
-  /// Persists the view into `store` under `prefix` — the distinct-key
-  /// sketch as its SketchBlob, the exact totals + offset as a meta entry.
-  void SnapshotTo(platform::KvCheckpointStore* store,
-                  const std::string& prefix) const;
-
-  /// Rebuilds a view previously written by SnapshotTo. Corrupt or missing
-  /// entries (a repeated key included) surface as the underlying Status.
-  static Result<BatchView> RestoreFrom(const platform::KvCheckpointStore& store,
-                                       const std::string& prefix);
 };
 
 /// The batch layer: recomputes a BatchView from scratch over a master-log

@@ -127,32 +127,21 @@ void LambdaPipeline::PublishSpeedSnapshot() {
   serving_.RefreshSpeedView();
 }
 
-Status LambdaPipeline::SaveViews(const std::string& path) const {
-  // Writers are locked out and no recompute is in flight, so the image is
-  // one (batch, speed) pair that meets, even while ingest threads run.
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  WaitForBatch();
-  platform::KvCheckpointStore store;
-  serving_.CurrentBatchView()->SnapshotTo(&store, "batch");
-  speed_.SnapshotTo(&store, "speed");
-  return store.SaveToFile(path);
+Status LambdaPipeline::Save(const std::string& path) const {
+  return log_.Save(path);
 }
 
-Status LambdaPipeline::LoadViews(const std::string& path) {
+Status LambdaPipeline::Restore(const std::string& path) {
   std::lock_guard<std::mutex> lock(writer_mu_);
+  // A recompute of the empty log may still be in flight (RunBatchNow); it
+  // must land before the rebuilt views replace it.
   WaitForBatch();
-  platform::KvCheckpointStore store;
-  STREAMLIB_RETURN_NOT_OK(store.LoadFromFile(path));
-  Result<BatchView> view = BatchView::RestoreFrom(store, "batch");
-  STREAMLIB_RETURN_NOT_OK(view.status());
-  // RestoreFrom validates every blob — and that the speed view starts
-  // where the batch view ends — before mutating, so ordering it first
-  // means a corrupt file cannot leave the pipeline half-restored. The
-  // restore publishes a fresh SpeedView; InstallBatchView then pairs it
-  // with the restored batch view in one snapshot swap.
-  STREAMLIB_RETURN_NOT_OK(
-      speed_.RestoreFrom(store, "speed", view.value().through_offset));
-  serving_.InstallBatchView(std::move(view).value());
+  STREAMLIB_RETURN_NOT_OK(log_.Load(path));
+  const uint64_t end = log_.size();
+  BatchView view = batch_.RecomputePrefix(log_, end);
+  speed_.RestartAt(end);
+  serving_.InstallBatchView(std::move(view));
+  last_cut_ = end;
   return Status::OK();
 }
 

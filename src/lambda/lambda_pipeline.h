@@ -51,7 +51,10 @@ struct LambdaConfig {
 ///      not seen, with the Section-2 sketches.
 ///   5. Queries merge batch + real-time views.
 ///
-/// Concurrency (DESIGN.md §14): writers — Ingest, RunBatchNow, LoadViews —
+/// The master log is the only state the pipeline persists: Save writes it,
+/// and Restore loads it into an empty pipeline and recomputes the views.
+///
+/// Concurrency (DESIGN.md §14): writers — Ingest, RunBatchNow, Restore —
 /// serialize on one pipeline mutex. Every batch recompute runs on one
 /// background worker the pipeline owns. A cut at the log end seals the
 /// speed layer's [b, cut) under that mutex and hands the worker the prefix
@@ -89,16 +92,19 @@ class LambdaPipeline {
   /// snapshot-interval staleness bound).
   void PublishSpeedSnapshot();
 
-  /// Persists both views (batch + speed) to `path`: every sketch travels as
-  /// a versioned SketchBlob inside a KvCheckpointStore image, so a restarted
-  /// process answers merged queries without replaying the log.
-  Status SaveViews(const std::string& path) const;
+  /// Writes the master log's records [0, log().size()) as of the call to
+  /// `path` (MasterLog::Save). Takes no writer lock and waits for no
+  /// recompute: the prefix never changes, so ingest goes on meanwhile.
+  Status Save(const std::string& path) const;
 
-  /// Restores views written by SaveViews. The master log itself is NOT
-  /// restored (it is the immutable dataset; callers re-attach or replay it
-  /// separately) — only the derived views. Corrupt files leave the pipeline
-  /// untouched.
-  Status LoadViews(const std::string& path);
+  /// Loads a log image written by Save into this pipeline, whose log must
+  /// be empty (FailedPrecondition otherwise), and rebuilds the views from
+  /// it: a batch view over the whole log and an empty live speed view at
+  /// its end, installed in one snapshot swap, so every answer is exact and
+  /// the next automatic cut comes due batch_interval_records later. An
+  /// image that fails to load (MasterLog::Load) leaves the pipeline empty
+  /// and usable.
+  Status Restore(const std::string& path);
 
   /// Merged query interface (Figure 1, step 5). Lock-free: each call runs
   /// against one immutable snapshot. Multi-query consistency (e.g. a total
@@ -115,7 +121,7 @@ class LambdaPipeline {
   const MasterLog& log() const { return log_; }
   const ServingLayer& serving() const { return serving_; }
   const SpeedLayer& speed() const { return speed_; }
-  /// Batch views landed so far.
+  /// Batch views the background worker has landed so far.
   uint64_t batch_recomputes() const {
     std::lock_guard<std::mutex> lock(batch_mu_);
     return batch_recomputes_;

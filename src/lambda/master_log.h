@@ -31,6 +31,14 @@ struct LogRecord {
 /// copy the chunk directory; it then reads records that can no longer
 /// change, concurrently with appends.
 ///
+/// The log is the only state the Lambda half persists: every view is a
+/// function of it (Figure 1), so a restart loads the log and recomputes
+/// the views. Save/Load own the image format. The image is a
+/// KvCheckpointStore file with one entry per chunk — the chunk's index and
+/// its records, whose offsets are implied by position — and a meta entry
+/// holding the format version and the record count, each followed by the
+/// CRC32 of its bytes.
+///
 /// Substitution note (DESIGN.md §2): stands in for the HDFS/Kafka-backed
 /// master dataset of production Lambda deployments; append-only + offset
 /// semantics are what the batch/speed layers rely on, and both are preserved.
@@ -72,6 +80,19 @@ class MasterLog {
 
   /// Reads a single record.
   Result<LogRecord> Get(uint64_t offset) const;
+
+  /// Writes records [0, size()) as of the call to `path`, atomically
+  /// (KvCheckpointStore::SaveToFile: temp file + rename). It reads the
+  /// prefix through Scan, so appends go on while it runs.
+  Status Save(const std::string& path) const;
+
+  /// Fills an empty log with the image Save wrote to `path`.
+  /// FailedPrecondition if the log holds records, NotFound if `path` does
+  /// not exist, and Corruption for an image that does not decode to the
+  /// log Save wrote: a torn file, a flipped bit in a record or a count, a
+  /// chunk dropped, repeated or moved. The whole image is decoded and
+  /// checked before the log changes, so a failed load leaves it empty.
+  Status Load(const std::string& path);
 
  private:
   mutable std::mutex mu_;

@@ -39,27 +39,29 @@ Status QueryFrontendConfig::Validate() const {
 }
 
 void QueryFrontend::TenantState::SetQuota(const TenantQuota& quota) {
-  if (quota.queries_per_second <= 0) {
-    emission_nanos = 0;  // Unlimited.
-    tolerance_nanos = 0;
-    return;
+  uint64_t emission = 0;  // Unlimited.
+  uint64_t tolerance = 0;
+  if (quota.queries_per_second > 0) {
+    emission = std::max<uint64_t>(
+        1, static_cast<uint64_t>(1e9 / quota.queries_per_second));
+    tolerance = static_cast<uint64_t>(std::max(0.0, quota.burst - 1.0) *
+                                      static_cast<double>(emission));
   }
-  emission_nanos =
-      static_cast<uint64_t>(1e9 / quota.queries_per_second);
-  if (emission_nanos == 0) emission_nanos = 1;
-  tolerance_nanos = static_cast<uint64_t>(
-      std::max(0.0, quota.burst - 1.0) * static_cast<double>(emission_nanos));
+  emission_nanos.store(emission, std::memory_order_relaxed);
+  tolerance_nanos.store(tolerance, std::memory_order_relaxed);
 }
 
 bool QueryFrontend::TenantState::Admit(uint64_t now_nanos) {
-  if (emission_nanos == 0) return true;  // Unlimited quota.
+  const uint64_t emission = emission_nanos.load(std::memory_order_relaxed);
+  const uint64_t tolerance = tolerance_nanos.load(std::memory_order_relaxed);
+  if (emission == 0) return true;  // Unlimited quota.
   // GCRA (the virtual-scheduling form of the token bucket): the bucket is
   // one u64 — the theoretical arrival time of the next conforming query.
   uint64_t old_tat = tat.load(std::memory_order_relaxed);
   while (true) {
     const uint64_t base = std::max(old_tat, now_nanos);
-    if (base - now_nanos > tolerance_nanos) return false;  // Bucket empty.
-    const uint64_t new_tat = base + emission_nanos;
+    if (base - now_nanos > tolerance) return false;  // Bucket empty.
+    const uint64_t new_tat = base + emission;
     if (tat.compare_exchange_weak(old_tat, new_tat,
                                   std::memory_order_acq_rel,
                                   std::memory_order_relaxed)) {

@@ -157,11 +157,13 @@ class QueryFrontend {
  private:
   /// GCRA token bucket + counters for one tenant. The bucket state is one
   /// atomic u64 (the theoretical-arrival-time), advanced by CAS — admission
-  /// never takes a lock.
+  /// never takes a lock. RegisterTenant may re-quota a tenant while Submit
+  /// admits against it, so the quota fields are relaxed atomics too: a
+  /// racing Admit reads each one's old value or its new one.
   struct TenantState {
     std::string name;
-    uint64_t emission_nanos = 0;   ///< 1e9 / qps; 0 = unlimited
-    uint64_t tolerance_nanos = 0;  ///< (burst - 1) * emission
+    std::atomic<uint64_t> emission_nanos{0};   ///< 1e9 / qps; 0 = unlimited
+    std::atomic<uint64_t> tolerance_nanos{0};  ///< (burst - 1) * emission
     std::atomic<uint64_t> tat{0};  ///< GCRA theoretical arrival time
     std::atomic<uint64_t> served{0};
     std::atomic<uint64_t> rejected_quota{0};

@@ -1,11 +1,11 @@
 #include "lambda/serving_layer.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <utility>
 
 #include "common/check.h"
-#include "common/state.h"
 #include "core/cardinality/hyperloglog.h"
 
 namespace streamlib::lambda {
@@ -18,13 +18,15 @@ double ServingSnapshot::TotalOf(const std::string& key) const {
 std::vector<std::pair<std::string, double>> ServingSnapshot::TopK(
     size_t k) const {
   // Candidates: top keys of every view (taking 2k from each bounds the
-  // merge error the same way distributed top-k merges do).
+  // merge error the same way distributed top-k merges do). 2k saturates,
+  // so a k past SIZE_MAX / 2 takes every key instead of wrapping.
+  const size_t fetch = k > SIZE_MAX / 2 ? SIZE_MAX : 2 * k;
   std::set<std::string> candidates;
-  for (const auto& [key, total] : batch->TopK(2 * k)) candidates.insert(key);
+  for (const auto& [key, total] : batch->TopK(fetch)) candidates.insert(key);
   if (sealed) {
-    for (const auto& [key, total] : sealed->TopK(2 * k)) candidates.insert(key);
+    for (const auto& [key, total] : sealed->TopK(fetch)) candidates.insert(key);
   }
-  for (const auto& [key, total] : speed->TopK(2 * k)) candidates.insert(key);
+  for (const auto& [key, total] : speed->TopK(fetch)) candidates.insert(key);
 
   std::vector<std::pair<std::string, double>> merged;
   merged.reserve(candidates.size());
@@ -55,19 +57,15 @@ void ServingLayer::PublishLocked(std::shared_ptr<const BatchView> batch,
   snap->batch = std::move(batch);
   snap->sealed = std::move(sealed);
   snap->speed = std::move(speed);
-  // Fold the distinct-key union once per snapshot. Both layers hand over
-  // their sketch through the state contract, so swapping the distinct
-  // sketch type (e.g. HLL -> KMV) is a TypeId change, not a serving change.
+  // Fold the distinct-key union once per snapshot: every view carries its
+  // HLL, at the one precision LambdaConfig allows.
   HyperLogLog merged = snap->speed->distinct;
-  if (snap->sealed) {
-    const Status status = merged.Merge(snap->sealed->distinct);
-    STREAMLIB_CHECK_MSG(status.ok(), "sealed distinct sketch: %s",
-                        status.ToString().c_str());
-  }
-  if (!snap->batch->distinct_keys_blob.empty()) {
-    const Status status =
-        state::MergeBlob(merged, snap->batch->distinct_keys_blob);
-    STREAMLIB_CHECK_MSG(status.ok(), "batch distinct blob: %s",
+  for (const HyperLogLog* other :
+       {snap->sealed ? &snap->sealed->distinct : nullptr,
+        &snap->batch->distinct_keys}) {
+    if (other == nullptr) continue;
+    const Status status = merged.Merge(*other);
+    STREAMLIB_CHECK_MSG(status.ok(), "distinct sketch merge: %s",
                         status.ToString().c_str());
   }
   snap->distinct_estimate = merged.Estimate();

@@ -4,8 +4,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/serde.h"
-#include "common/state.h"
 
 namespace streamlib::lambda {
 
@@ -93,83 +91,26 @@ std::vector<std::pair<std::string, double>> SpeedLayer::TopK(size_t k) const {
   return out;
 }
 
-std::vector<uint8_t> SpeedLayer::DistinctKeysBlob() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return state::ToBlob(distinct_);
-}
-
-void SpeedLayer::SnapshotTo(platform::KvCheckpointStore* store,
-                            const std::string& prefix) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  store->Put(prefix + "/totals", state::ToBlob(totals_));
-  store->Put(prefix + "/topk", state::ToBlob(topk_));
-  store->Put(prefix + "/distinct_keys", state::ToBlob(distinct_));
-  ByteWriter w;
-  w.PutVarint(from_offset_);
-  w.PutVarint(ingested_);
-  store->Put(prefix + "/meta", w.TakeBytes());
-}
-
-Status SpeedLayer::RestoreFrom(const platform::KvCheckpointStore& store,
-                               const std::string& prefix,
-                               uint64_t from_offset) {
-  Result<std::vector<uint8_t>> totals_blob = store.Fetch(prefix + "/totals");
-  STREAMLIB_RETURN_NOT_OK(totals_blob.status());
-  Result<CountMinSketch> totals =
-      state::FromBlob<CountMinSketch>(totals_blob.value());
-  STREAMLIB_RETURN_NOT_OK(totals.status());
-
-  Result<std::vector<uint8_t>> topk_blob = store.Fetch(prefix + "/topk");
-  STREAMLIB_RETURN_NOT_OK(topk_blob.status());
-  Result<SpaceSaving<std::string>> topk =
-      state::FromBlob<SpaceSaving<std::string>>(topk_blob.value());
-  STREAMLIB_RETURN_NOT_OK(topk.status());
-
-  Result<std::vector<uint8_t>> distinct_blob =
-      store.Fetch(prefix + "/distinct_keys");
-  STREAMLIB_RETURN_NOT_OK(distinct_blob.status());
-  Result<HyperLogLog> distinct =
-      state::FromBlob<HyperLogLog>(distinct_blob.value());
-  STREAMLIB_RETURN_NOT_OK(distinct.status());
-
-  Result<std::vector<uint8_t>> meta = store.Fetch(prefix + "/meta");
-  STREAMLIB_RETURN_NOT_OK(meta.status());
-  ByteReader r(meta.value());
-  uint64_t saved_from = 0;
-  uint64_t ingested = 0;
-  STREAMLIB_RETURN_NOT_OK(r.GetVarint(&saved_from));
-  STREAMLIB_RETURN_NOT_OK(r.GetVarint(&ingested));
-  if (!r.AtEnd()) {
-    return Status::Corruption("speed layer: trailing meta bytes");
-  }
-  if (saved_from != from_offset) {
-    return Status::Corruption(
-        "speed layer: suffix does not start where the batch view ends");
-  }
-  if (ingested > UINT64_MAX - saved_from) {
-    return Status::Corruption("speed layer: covered range overflows");
-  }
-
-  std::lock_guard<std::mutex> lock(mu_);
-  totals_ = std::move(totals).value();
-  topk_ = std::move(topk).value();
-  distinct_ = std::move(distinct).value();
-  from_offset_ = saved_from;
-  ingested_ = ingested;
-  PublishLocked();  // Readers see the restored state immediately.
-  return Status::OK();
+void SpeedLayer::RestartLocked(uint64_t offset) {
+  from_offset_ = offset;
+  ingested_ = 0;
+  totals_ = CountMinSketch(cms_width_, cms_depth_, /*conservative=*/true);
+  topk_ = SpaceSaving<std::string>(topk_capacity_);
+  distinct_ = HyperLogLog(hll_precision_);
+  PublishLocked();
 }
 
 std::shared_ptr<const SpeedView> SpeedLayer::Seal() {
   std::lock_guard<std::mutex> lock(mu_);
   std::shared_ptr<const SpeedView> sealed = FreezeLocked();
-  from_offset_ += ingested_;
-  ingested_ = 0;
-  totals_ = CountMinSketch(cms_width_, cms_depth_, /*conservative=*/true);
-  topk_ = SpaceSaving<std::string>(topk_capacity_);
-  distinct_ = HyperLogLog(hll_precision_);
-  PublishLocked();  // The hand-off always publishes (empty suffix view).
+  // The hand-off always publishes (empty suffix view).
+  RestartLocked(from_offset_ + ingested_);
   return sealed;
+}
+
+void SpeedLayer::RestartAt(uint64_t offset) {
+  std::lock_guard<std::mutex> lock(mu_);
+  RestartLocked(offset);
 }
 
 uint64_t SpeedLayer::from_offset() const {

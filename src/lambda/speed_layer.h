@@ -13,7 +13,6 @@
 #include "core/frequency/count_min_sketch.h"
 #include "core/frequency/space_saving.h"
 #include "lambda/master_log.h"
-#include "platform/checkpoint.h"
 
 namespace streamlib::lambda {
 
@@ -57,13 +56,13 @@ struct SpeedView {
 /// SpaceSaving for top-k, HyperLogLog for cardinality — the Summingbird
 /// pattern). Thread-safe.
 ///
-/// Concurrency model (DESIGN.md §14): writers (Ingest/Seal/RestoreFrom)
+/// Concurrency model (DESIGN.md §14): writers (Ingest/Seal/RestartAt)
 /// serialize on an internal mutex; every `snapshot_interval` ingests — and
-/// on every Seal/Restore — the layer publishes an immutable SpeedView via
+/// on every Seal/RestartAt — the layer publishes an immutable SpeedView via
 /// an atomic shared_ptr swap. Queries against View() never contend with
-/// ingest. The live query methods (TotalOf/TopK/DistinctKeysBlob) remain
-/// for single-threaded exactness and as the mutex-merge baseline the
-/// serving bench compares against; the scalable read path is View().
+/// ingest. The live query methods (TotalOf/TopK) remain for
+/// single-threaded exactness and as the mutex-merge baseline the serving
+/// bench compares against; the scalable read path is View().
 class SpeedLayer {
  public:
   /// \param cms_width/cms_depth  Count-Min geometry for per-key totals.
@@ -95,30 +94,17 @@ class SpeedLayer {
   /// Real-time top-k keys by estimated total (live, locked).
   std::vector<std::pair<std::string, double>> TopK(size_t k) const;
 
-  /// Real-time distinct-key sketch as a SketchBlob (live, locked).
-  std::vector<uint8_t> DistinctKeysBlob() const;
-
-  /// Persists all three sketches into `store` as SketchBlobs under
-  /// `prefix`/totals, `prefix`/topk, `prefix`/distinct_keys, plus a meta
-  /// entry (from_offset, ingested).
-  void SnapshotTo(platform::KvCheckpointStore* store,
-                  const std::string& prefix) const;
-
-  /// Replaces this layer's state with a snapshot written by SnapshotTo and
-  /// publishes a fresh SpeedView of it. The snapshot must cover a suffix
-  /// starting at `from_offset` (where the batch view it pairs with ends).
-  /// Corrupt or missing entries, and a snapshot that starts elsewhere,
-  /// surface as a non-OK Status and leave the layer (and the published
-  /// view) untouched.
-  Status RestoreFrom(const platform::KvCheckpointStore& store,
-                     const std::string& prefix, uint64_t from_offset);
-
   /// The speed half of a batch hand-off: freezes the live sketches as an
   /// immutable view of [from_offset(), cut), where cut is the live end,
   /// then restarts them empty at `cut` and publishes the empty view. The
   /// sealed view answers for its range until a batch view over [0, cut)
   /// lands; the serving layer drops it then.
   std::shared_ptr<const SpeedView> Seal();
+
+  /// Restarts the live sketches empty at `offset` and publishes the empty
+  /// view: the speed half of a restore, whose batch view covers
+  /// [0, offset).
+  void RestartAt(uint64_t offset);
 
   uint64_t from_offset() const;
   uint64_t ingested() const;
@@ -130,6 +116,10 @@ class SpeedLayer {
 
   /// Builds + publishes a view of the live state. Caller holds mu_.
   std::shared_ptr<const SpeedView> PublishLocked();
+
+  /// Empties the live sketches, restarts them at `offset` and publishes
+  /// the empty view. Caller holds mu_.
+  void RestartLocked(uint64_t offset);
 
   uint32_t cms_width_;
   uint32_t cms_depth_;

@@ -109,7 +109,9 @@ Status KvCheckpointStore::LoadFromFile(const std::string& path) {
     }
     entry.state.resize(state_len);
     STREAMLIB_RETURN_NOT_OK(r.GetBytes(entry.state.data(), state_len));
-    staged[std::move(key)] = std::move(entry);
+    if (!staged.emplace(std::move(key), std::move(entry)).second) {
+      return Status::Corruption("checkpoint file names a key twice");
+    }
   }
   if (!r.AtEnd()) {
     return Status::Corruption("checkpoint file has trailing bytes");

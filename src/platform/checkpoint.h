@@ -87,8 +87,9 @@ class KvCheckpointStore {
   Status SaveToFile(const std::string& path) const;
 
   /// Replaces this store's contents with the entries in `path`. Rejects
-  /// torn/truncated/garbage files with Corruption (the store is left
-  /// untouched on any error) and a missing file with NotFound.
+  /// torn/truncated/garbage files and files that name a key twice with
+  /// Corruption (the store is left untouched on any error) and a missing
+  /// file with NotFound.
   Status LoadFromFile(const std::string& path);
 
  private:

@@ -22,7 +22,8 @@ uint64_t HashOfValue(const Value& v, uint64_t seed = 0);
 std::string ValueToString(const Value& v);
 
 /// The unit of data flowing through a topology: an ordered list of named-by-
-/// position fields plus routing/ack metadata managed by the engine.
+/// position fields, or an epoch barrier. Ack metadata (root and edge ids)
+/// travels on the engine's Message, not on the tuple.
 class Tuple {
  public:
   Tuple() = default;
@@ -58,15 +59,6 @@ class Tuple {
 
   const std::vector<Value>& values() const { return values_; }
 
-  /// Engine metadata: id of the root tuple this descends from (0 = untracked)
-  /// used by the XOR-ledger acker, mirroring Storm's anchoring model.
-  uint64_t anchor_id() const { return anchor_id_; }
-  void set_anchor_id(uint64_t id) { anchor_id_ = id; }
-
-  /// Unique id of this tuple edge for ack accounting (0 = untracked).
-  uint64_t edge_id() const { return edge_id_; }
-  void set_edge_id(uint64_t id) { edge_id_ = id; }
-
   /// Epoch-barrier marker (Chandy-Lamport snapshot token, DESIGN.md §12):
   /// a field-less control tuple the engine routes to every downstream task.
   /// Bolts never see barriers in Execute — the engine consumes them for
@@ -92,8 +84,6 @@ class Tuple {
   }
 
   std::vector<Value> values_;
-  uint64_t anchor_id_ = 0;
-  uint64_t edge_id_ = 0;
   uint64_t barrier_epoch_ = 0;
 };
 

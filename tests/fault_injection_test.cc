@@ -656,6 +656,33 @@ TEST(CheckpointRestoreEdgeTest, HugeEntryCountIsCorruption) {
   std::remove(path.c_str());
 }
 
+// A file that names a key twice is Corruption, not a store in which the
+// later copy silently wins: a splice could otherwise slip a second entry
+// under a key that one save wrote once.
+TEST(CheckpointRestoreEdgeTest, RepeatedKeyIsCorruption) {
+  ByteWriter w;
+  w.PutU32(0x534c434bu);  // "SLCK"
+  w.PutU32(1);
+  w.PutVarint(2);
+  for (uint8_t state : {1, 2}) {
+    w.PutString("a");
+    w.PutU64(1);
+    w.PutVarint(1);
+    w.PutU8(state);
+  }
+  const std::string path = ::testing::TempDir() + "repeated_key_ckpt.bin";
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fwrite(w.bytes().data(), 1, w.bytes().size(), f);
+  std::fclose(f);
+  KvCheckpointStore store;
+  store.Put("keep", {9});
+  EXPECT_EQ(store.LoadFromFile(path).code(), StatusCode::kCorruption);
+  EXPECT_EQ(store.NumKeys(), 1u);
+  EXPECT_EQ(store.Get("keep").value(), std::vector<uint8_t>{9});
+  std::remove(path.c_str());
+}
+
 TEST(CheckpointRestoreEdgeTest, RenamedComponentRestoreIsCleanError) {
   // A bolt renamed between checkpoint and restore must get a diagnosable
   // NotFound (and start empty), never someone else's state or UB.

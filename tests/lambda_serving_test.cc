@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "lambda/lambda_pipeline.h"
+#include "lambda/master_log.h"
 #include "lambda/query_frontend.h"
 #include "platform/clock.h"
 #include "platform/telemetry.h"
@@ -328,6 +329,83 @@ TEST(LambdaPipelineTest, SnapshotStalenessBoundedByPublishInterval) {
   EXPECT_NEAR(pipeline.QueryTotal("k"), 1000.0, 1.0);
 }
 
+// 2k candidates per view saturate instead of wrapping: a k at or past 2^63
+// asks for every key, through the pipeline and through the front-end,
+// which admits any k >= 1.
+TEST(LambdaPipelineTest, TopKWithHugeKReturnsEveryKey) {
+  LambdaPipeline pipeline(SmallConfig());
+  for (int i = 0; i < 5; i++) {
+    for (int n = 0; n <= i; n++) pipeline.Ingest(n, NumberedKey("key", i), 1.0);
+  }
+  pipeline.RunBatchNow();
+  for (int i = 0; i < 5; i++) pipeline.Ingest(i, NumberedKey("key", i), 1.0);
+  for (size_t k : {size_t{1} << 63, SIZE_MAX / 2 + 1, SIZE_MAX}) {
+    EXPECT_EQ(pipeline.QueryTopK(k).size(), 5u) << "k = " << k;
+  }
+
+  QueryFrontend frontend(&pipeline.serving(), QueryFrontendConfig{});
+  frontend.Start();
+  QueryRequest request;
+  request.kind = QueryKind::kTopK;
+  request.tenant = "huge";
+  request.k = size_t{1} << 63;
+  Result<QueryResponse> response = frontend.Query(request);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  ASSERT_EQ(response.value().topk.size(), 5u);
+  EXPECT_EQ(response.value().topk[0].first, "key4");
+  EXPECT_DOUBLE_EQ(response.value().topk[0].second, 6.0);
+}
+
+// One thread ingests across chunk boundaries, with background recomputes,
+// while another saves over and over without the writer lock. Every image
+// restores to a prefix of what was ingested (run under TSan).
+TEST(LambdaPipelineTest, SaveRacesIngest) {
+  LambdaConfig config;
+  config.batch_interval_records = 20000;
+  config.speed_snapshot_interval_records = 64;
+  LambdaPipeline pipeline(config);
+  constexpr uint64_t kRecords = 2 * MasterLog::kChunkRecords + 100;
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (uint64_t i = 0; i < kRecords; i++) {
+      pipeline.Ingest(static_cast<int64_t>(i),
+                      NumberedKey("key", static_cast<int>(i % 37)), 1.0);
+    }
+    done.store(true, std::memory_order_release);
+  });
+
+  const std::string path = ::testing::TempDir() + "lambda_save_race.bin";
+  uint64_t saves = 0;
+  uint64_t last_size = 0;
+  for (bool last = false; !last; saves++) {
+    last = done.load(std::memory_order_acquire);
+    const uint64_t floor = pipeline.log().size();
+    ASSERT_TRUE(pipeline.Save(path).ok());
+    const uint64_t ceiling = pipeline.log().size();
+    LambdaPipeline restored(config);
+    ASSERT_TRUE(restored.Restore(path).ok());
+    const uint64_t size = restored.log().size();
+    ASSERT_GE(size, floor);
+    ASSERT_LE(size, ceiling);
+    ASSERT_GE(size, last_size);
+    last_size = size;
+    uint64_t misplaced = 0;
+    uint64_t index = 0;
+    restored.log().Scan(0, size, [&](const LogRecord& r) {
+      misplaced += r.offset != index ||
+                   r.timestamp != static_cast<int64_t>(index) ||
+                   r.key != NumberedKey("key", static_cast<int>(index % 37)) ||
+                   r.value != 1.0;
+      index++;
+    });
+    ASSERT_EQ(misplaced, 0u) << "save " << saves << " of " << size;
+    ASSERT_EQ(restored.serving().BatchThroughOffset(), size);
+  }
+  writer.join();
+  EXPECT_EQ(last_size, kRecords);
+  EXPECT_GT(saves, 1u);
+}
+
 // The TSAN target: readers hammer the front-end while an ingest writer and
 // a batch thread race full speed. Asserts the snapshot-isolation contract
 // on every answer: batch coverage never exceeds total coverage, offsets
@@ -537,6 +615,52 @@ TEST(QueryFrontendStressTest, SameVersionAnswersAreIdentical) {
   }
   writer.join();
   EXPECT_GT(repeats, 0u);
+}
+
+// RegisterTenant re-quotas a tenant (metered <-> unlimited) while another
+// thread submits against it. Each admission applies the old quota or the
+// new one, and every attempt is served or rejected for quota (run under
+// TSan).
+TEST(QueryFrontendStressTest, RequotaRacesSubmit) {
+  LambdaPipeline pipeline(SmallConfig());
+  pipeline.Ingest(0, "k", 1.0);
+  QueryFrontend frontend(&pipeline.serving(), QueryFrontendConfig{});
+  frontend.Start();
+  const TenantQuota metered{1000.0, 4.0};
+  ASSERT_TRUE(frontend.RegisterTenant("t", metered).ok());
+
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> requotas{0};
+  std::thread requota([&] {
+    for (uint64_t i = 0; !done.load(std::memory_order_acquire); i++) {
+      const TenantQuota quota = i % 2 == 0 ? TenantQuota{0.0, 16.0} : metered;
+      EXPECT_TRUE(frontend.RegisterTenant("t", quota).ok());
+      requotas.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  // Wait until the re-quotas are under way, so the submissions race them.
+  while (requotas.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
+  QueryRequest request;
+  request.tenant = "t";
+  request.key = "k";
+  // Submit until both threads have done enough work to overlap, however
+  // the scheduler runs them.
+  uint64_t attempted = 0;
+  while (attempted < 5000 || requotas.load(std::memory_order_relaxed) < 100) {
+    Result<QueryResponse> response = frontend.Query(request);
+    attempted++;
+    if (!response.ok()) {
+      EXPECT_EQ(response.status().code(), StatusCode::kResourceExhausted);
+    }
+  }
+  done.store(true, std::memory_order_release);
+  requota.join();
+  frontend.Stop();
+  const FrontendStats stats = frontend.Stats();
+  EXPECT_EQ(stats.served + stats.rejected_quota, attempted);
+  EXPECT_EQ(stats.rejected_queue, 0u);
 }
 
 }  // namespace
