@@ -11,6 +11,11 @@
 
 namespace streamlib::lambda {
 
+/// HyperLogLog precision of every view's distinct-key sketch, batch and
+/// speed alike: the serving layer merges them, which needs one register
+/// geometry.
+inline constexpr int kDistinctKeysPrecision = 12;
+
 /// A batch view: exact aggregates precomputed over a master-log prefix
 /// (Figure 1, steps 2-3 — the batch layer "pre-computes the batch views",
 /// the serving layer "indexes them for low-latency queries"). Immutable
@@ -25,10 +30,9 @@ struct BatchView {
   /// sorting the whole map on each query.
   std::vector<std::pair<std::string, double>> ranked;
 
-  /// Cardinality of the key set (precision 12, which LambdaConfig holds
-  /// the speed layer to). The serving layer merges it with the speed
-  /// views' sketches once per snapshot.
-  HyperLogLog distinct_keys{12};
+  /// Cardinality of the key set. The serving layer merges it with the
+  /// speed views' sketches once per snapshot.
+  HyperLogLog distinct_keys{kDistinctKeysPrecision};
 
   /// Exact total for a key over the covered prefix (0 if absent).
   double TotalOf(const std::string& key) const;

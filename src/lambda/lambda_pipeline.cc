@@ -15,13 +15,6 @@ Status LambdaConfig::Validate() const {
   if (topk_capacity == 0) {
     return Status::InvalidArgument("topk_capacity must be >= 1");
   }
-  // The batch layer's distinct-key HLL is fixed at precision 12; merged
-  // queries need both layers on the same register geometry.
-  if (hll_precision != 12) {
-    return Status::OutOfRange(
-        "hll_precision must be 12 (batch view HLL precision is fixed at 12; "
-        "the speed layer must match for merges)");
-  }
   if (speed_snapshot_interval_records < 1) {
     return Status::InvalidArgument(
         "speed_snapshot_interval_records must be >= 1 (1 publishes on every "
@@ -33,7 +26,7 @@ Status LambdaConfig::Validate() const {
 LambdaPipeline::LambdaPipeline(const LambdaConfig& config)
     : config_(config),
       speed_(config.cms_width, config.cms_depth, config.topk_capacity,
-             config.hll_precision, config.speed_snapshot_interval_records),
+             config.speed_snapshot_interval_records),
       serving_(&speed_) {
   const Status status = config.Validate();
   STREAMLIB_CHECK_MSG(status.ok(), "invalid LambdaConfig: %s",

@@ -27,7 +27,6 @@ struct LambdaConfig {
   uint32_t cms_width = 2048;   ///< speed-layer Count-Min width
   uint32_t cms_depth = 4;      ///< speed-layer Count-Min depth
   size_t topk_capacity = 256;  ///< speed-layer SpaceSaving entries
-  int hll_precision = 12;      ///< both layers' HLL precision (must match)
 
   /// The speed layer publishes an immutable SpeedView every this many
   /// ingests (plus on every batch hand-off). This is the staleness bound of

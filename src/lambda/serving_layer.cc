@@ -58,7 +58,7 @@ void ServingLayer::PublishLocked(std::shared_ptr<const BatchView> batch,
   snap->sealed = std::move(sealed);
   snap->speed = std::move(speed);
   // Fold the distinct-key union once per snapshot: every view carries its
-  // HLL, at the one precision LambdaConfig allows.
+  // HLL, all at kDistinctKeysPrecision.
   HyperLogLog merged = snap->speed->distinct;
   for (const HyperLogLog* other :
        {snap->sealed ? &snap->sealed->distinct : nullptr,

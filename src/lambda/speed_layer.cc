@@ -16,16 +16,14 @@ std::vector<std::pair<std::string, double>> SpeedView::TopK(size_t k) const {
 }
 
 SpeedLayer::SpeedLayer(uint32_t cms_width, uint32_t cms_depth,
-                       size_t topk_capacity, int hll_precision,
-                       uint64_t snapshot_interval)
+                       size_t topk_capacity, uint64_t snapshot_interval)
     : cms_width_(cms_width),
       cms_depth_(cms_depth),
       topk_capacity_(topk_capacity),
-      hll_precision_(hll_precision),
       snapshot_interval_(snapshot_interval),
       totals_(cms_width, cms_depth, /*conservative=*/true),
       topk_(topk_capacity),
-      distinct_(hll_precision) {
+      distinct_(kDistinctKeysPrecision) {
   STREAMLIB_CHECK_MSG(snapshot_interval >= 1,
                       "speed-layer snapshot interval must be >= 1");
   std::lock_guard<std::mutex> lock(mu_);
@@ -33,8 +31,8 @@ SpeedLayer::SpeedLayer(uint32_t cms_width, uint32_t cms_depth,
 }
 
 std::shared_ptr<const SpeedView> SpeedLayer::FreezeLocked() {
-  auto view = std::make_shared<SpeedView>(cms_width_, cms_depth_,
-                                          topk_capacity_, hll_precision_);
+  auto view =
+      std::make_shared<SpeedView>(cms_width_, cms_depth_, topk_capacity_);
   view->version = ++next_version_;
   view->from_offset = from_offset_;
   view->ingested = ingested_;
@@ -96,7 +94,7 @@ void SpeedLayer::RestartLocked(uint64_t offset) {
   ingested_ = 0;
   totals_ = CountMinSketch(cms_width_, cms_depth_, /*conservative=*/true);
   topk_ = SpaceSaving<std::string>(topk_capacity_);
-  distinct_ = HyperLogLog(hll_precision_);
+  distinct_ = HyperLogLog(kDistinctKeysPrecision);
   PublishLocked();
 }
 

@@ -12,6 +12,7 @@
 #include "core/cardinality/hyperloglog.h"
 #include "core/frequency/count_min_sketch.h"
 #include "core/frequency/space_saving.h"
+#include "lambda/batch_layer.h"
 #include "lambda/master_log.h"
 
 namespace streamlib::lambda {
@@ -30,11 +31,10 @@ struct SpeedView {
   SpaceSaving<std::string> topk;
   HyperLogLog distinct;
 
-  SpeedView(uint32_t cms_width, uint32_t cms_depth, size_t topk_capacity,
-            int hll_precision)
+  SpeedView(uint32_t cms_width, uint32_t cms_depth, size_t topk_capacity)
       : totals(cms_width, cms_depth, /*conservative=*/true),
         topk(topk_capacity),
-        distinct(hll_precision) {}
+        distinct(kDistinctKeysPrecision) {}
 
   /// Exclusive end of the log range the view covers.
   uint64_t through_offset() const { return from_offset + ingested; }
@@ -67,12 +67,11 @@ class SpeedLayer {
  public:
   /// \param cms_width/cms_depth  Count-Min geometry for per-key totals.
   /// \param topk_capacity        SpaceSaving entries for real-time top-k.
-  /// \param hll_precision        HyperLogLog precision for distinct keys.
   /// \param snapshot_interval    publish a fresh SpeedView every this many
   ///                             ingests (the staleness bound of the
   ///                             lock-free read path; >= 1).
   SpeedLayer(uint32_t cms_width, uint32_t cms_depth, size_t topk_capacity,
-             int hll_precision, uint64_t snapshot_interval = 256);
+             uint64_t snapshot_interval = 256);
 
   /// Ingests one record (must have offset >= from_offset()). Returns true
   /// when this ingest crossed the snapshot interval and published a fresh
@@ -124,7 +123,6 @@ class SpeedLayer {
   uint32_t cms_width_;
   uint32_t cms_depth_;
   size_t topk_capacity_;
-  int hll_precision_;
   uint64_t snapshot_interval_;
 
   mutable std::mutex mu_;

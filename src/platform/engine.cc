@@ -27,16 +27,21 @@ uint64_t TimeoutNanos(double seconds) {
   return static_cast<uint64_t>(seconds * 1e9);
 }
 
+/// Cap on both batch sizes: staging buffers and pop batches reserve that
+/// many messages up front, so a size is an allocation, not only a policy.
+constexpr size_t kMaxBatchSize = size_t{1} << 16;
+
 }  // namespace
 
 Status EngineConfig::Validate() const {
   if (queue_capacity == 0) {
     return Status::InvalidArgument("queue_capacity must be >= 1");
   }
-  if (emit_batch_size == 0 || execute_batch_size == 0) {
+  if (emit_batch_size == 0 || execute_batch_size == 0 ||
+      emit_batch_size > kMaxBatchSize || execute_batch_size > kMaxBatchSize) {
     return Status::InvalidArgument(
-        "emit_batch_size / execute_batch_size must be >= 1 (1 disables "
-        "batching)");
+        "emit_batch_size / execute_batch_size must be in [1, " +
+        std::to_string(kMaxBatchSize) + "] (1 disables batching)");
   }
   if (mode == ExecutionMode::kMultiplexed && multiplexed_threads == 0) {
     return Status::InvalidArgument(
@@ -574,23 +579,24 @@ void TopologyEngine::SpoutLoop(Task* task) {
 /// exactly the effects of epochs <= the snapshot epoch.
 void TopologyEngine::ExecuteBatch(Task* task, std::span<Message> batch) {
   // A batch-capable bolt takes the whole batch through one ExecuteBatch
-  // call. Barriers demand per-message inspection, and traced batches keep
-  // per-tuple delivery so their span trees stay per-hop-accurate.
-  if (task->aligner == nullptr && config_.enable_bolt_batch &&
-      batch.size() > 1 && task->bolt->BatchCapable() &&
+  // call when nothing can fault a single message of it. Barriers demand
+  // per-message inspection, and traced batches keep per-tuple delivery so
+  // their span trees stay per-hop-accurate.
+  if (task->aligner == nullptr && graph_.fault_plan() == nullptr &&
+      config_.enable_bolt_batch && batch.size() > 1 &&
+      task->bolt->BatchCapable() &&
       std::none_of(batch.begin(), batch.end(),
                    [](const Message& m) { return m.trace_id != 0; })) {
     ExecuteBatchFused(task, batch);
     return;
   }
   size_t consumed = 0;  // Messages leaving the pending count this call.
-  bool crashed = false;
   for (Message& message : batch) {
-    if (!crashed && task->aligner != nullptr) {
+    if (task->aligner != nullptr) {
       if (message.tuple.IsBarrier()) {
         consumed++;
         HandleBarrier(task, message.producer_task,
-                      message.tuple.barrier_epoch(), &crashed);
+                      message.tuple.barrier_epoch());
         continue;
       }
       if (task->aligner->ShouldHold(message.producer_task)) {
@@ -604,16 +610,7 @@ void TopologyEngine::ExecuteBatch(Task* task, std::span<Message> batch) {
       }
     }
     consumed++;
-    // After a crash the rest of the popped batch dies with the task — the
-    // in-memory input of a dead process, never executed and never acked;
-    // at-least-once replays it via the ack timeout.
-    if (!crashed) crashed = RunStage(task, message, nullptr);
-  }
-  if (crashed && !task->held.empty()) {
-    // Held input dies with the crashed task too.
-    consumed += task->held.size();
-    task->held.clear();
-    task->held_tags.clear();
+    RunStage(task, message, nullptr);
   }
   // Children enqueue (and acker events post) before the parents' pending
   // count releases, so pending_messages_ == 0 always means fully drained.
@@ -629,12 +626,17 @@ void TopologyEngine::ExecuteBatch(Task* task, std::span<Message> batch) {
 /// (its edge id ^ its children's ids) joins the task's acker staging, or
 /// XORs into `*fused_ack` on a fused hop. A hop that threw, crashed or lost
 /// its ack lands nothing: its own edge id stays in the root's ledger, so
-/// the root fails. A hop that did not throw counts as executed; on a crash
-/// the bolt is rebuilt like a restarted worker, and the runner returns
-/// true so the caller drops the input the dead task still held.
-inline bool TopologyEngine::RunStage(Task* task, const Message& m,
+/// the root fails. A hop that did not throw counts as executed. A fault
+/// reaches no further than its own message: on a crash the bolt is rebuilt
+/// like a restarted worker, and the next message, wherever it comes from,
+/// runs on the fresh instance.
+inline void TopologyEngine::RunStage(Task* task, const Message& m,
                                      uint64_t* fused_ack) {
-  const bool throw_now = graph_.StallThenDrawThrow(task);
+  if (task->stall_faults != nullptr) {
+    StageGraph::Sleep(task->stall_faults->QueueStallMicros());
+  }
+  FaultSite* faults = task->executor_faults.get();
+  const bool throw_now = faults != nullptr && faults->FireBoltThrow();
   // Tracing costs exactly this one branch on untraced tuples; traced hops
   // pay the span allocation and two clock reads.
   uint64_t span = 0;
@@ -656,7 +658,7 @@ inline bool TopologyEngine::RunStage(Task* task, const Message& m,
     task->metrics->IncBoltExceptions();
   }
   const uint64_t xor_out = out->End();
-  if (!ok) return false;
+  if (!ok) return;
   out->CountExecuted();
   if (m.trace_id != 0) {
     task->trace_ring->Record(TraceEvent{
@@ -674,8 +676,9 @@ inline bool TopologyEngine::RunStage(Task* task, const Message& m,
   // checkpoint-then-ack dedup (DedupLedger) must absorb. An acker-loss
   // fault loses the ack in transit instead: the root stays unresolved
   // until the timeout fails it back to the spout.
-  const StageGraph::Fate fate = graph_.DrawFate(task, m.root_id != 0);
-  if (m.root_id != 0 && fate == StageGraph::Fate::kAck) {
+  const bool crash = faults != nullptr && faults->FireTaskCrash();
+  if (m.root_id != 0 && !crash &&
+      (faults == nullptr || !faults->FireAckerLoss())) {
     const uint64_t value = m.edge_id ^ xor_out;
     if (fused_ack != nullptr) {
       *fused_ack ^= value;
@@ -683,9 +686,7 @@ inline bool TopologyEngine::RunStage(Task* task, const Message& m,
       out->Ack(m.root_id, value);
     }
   }
-  if (fate != StageGraph::Fate::kCrash) return false;
-  RestartBolt(task);
-  return true;
+  if (crash) RestartBolt(task);
 }
 
 /// Pending-count release with the drain-wait wakeup the plain paths inline.
@@ -698,84 +699,48 @@ void TopologyEngine::FinishPending(size_t n) {
   }
 }
 
-/// The fused batch path: one dispatch, one ack-staging pass for the whole
-/// batch — but the runner's draw steps PER MESSAGE, in the runner's order
-/// (stall, throw, then crash and acker loss for a message that did not
-/// throw). Batch boundaries depend on thread timing (how much the consumer
-/// drains per pop), so per-batch draws would make the sites' decision
-/// streams timing-dependent and break the same-seed ⇒ same-schedule replay
-/// contract; per-message consultation keeps each stream a pure function of
-/// the message sequence, identical to per-tuple delivery. Only the blast
-/// radius is batch-wide: any throw fails the whole batch, any crash kills
-/// it before execution. Only reached for batch-capable bolts (pure
-/// accumulators that never emit from execution) on fully untraced batches.
+/// The batch-capable path, taken only with fault injection off: one
+/// ExecuteBatch dispatch and one ack-staging pass for the whole batch. It
+/// reaches the state per-message Execute reaches (the BatchCapable
+/// contract), so nothing but speed depends on the batch boundaries. Only
+/// reached for batch-capable bolts (pure accumulators that never emit from
+/// execution) on fully untraced batches.
 void TopologyEngine::ExecuteBatchFused(Task* task, std::span<Message> batch) {
   TaskCollector* collector = task->collector;
-  // ack_lost[i]: message i's ack drew the acker-loss fault (sized only
-  // when faults are on). The first crash ends the draws for the batch (the
-  // scalar loop stops executing on a crash, leaving the remainder undrawn).
-  const bool faults = graph_.fault_plan() != nullptr;
-  thread_local std::vector<uint8_t> ack_lost;
-  bool throw_now = false;
-  bool crash_now = false;
-  if (faults) {
-    ack_lost.assign(batch.size(), 0);
-    for (size_t i = 0; i < batch.size() && !crash_now; i++) {
-      if (graph_.StallThenDrawThrow(task)) {
-        throw_now = true;
-        continue;
-      }
-      const StageGraph::Fate fate =
-          graph_.DrawFate(task, batch[i].root_id != 0);
-      crash_now = fate == StageGraph::Fate::kCrash;
-      ack_lost[i] = fate == StageGraph::Fate::kAckLost;
-    }
+  thread_local std::vector<const Tuple*> inputs;
+  inputs.clear();
+  inputs.reserve(batch.size());
+  for (const Message& message : batch) inputs.push_back(&message.tuple);
+  const uint64_t emitted_before = collector->total_emitted();
+  collector->Begin(Message(), 0);
+  bool executed_ok = true;
+  try {
+    task->bolt->ExecuteBatch(
+        std::span<const Tuple* const>(inputs.data(), inputs.size()),
+        collector);
+  } catch (...) {
+    // The one call failed, so the whole batch fails: no acks are staged,
+    // and under at-least-once every root in it times out and replays.
+    executed_ok = false;
+    task->metrics->IncBoltExceptions();
   }
-  // A crash kills the batch unexecuted and unacked (at-least-once replays
-  // it via the ack timeout), never torn mid-batch. The scalar path keeps
-  // covering the mid-batch torn-window case for per-tuple bolts.
-  bool executed_ok = false;
-  if (!crash_now) {
-    thread_local std::vector<const Tuple*> inputs;
-    inputs.clear();
-    inputs.reserve(batch.size());
-    for (const Message& message : batch) inputs.push_back(&message.tuple);
-    const uint64_t emitted_before = collector->total_emitted();
-    collector->Begin(Message(), 0);
-    try {
-      if (throw_now) {
-        throw InjectedBoltError("injected bolt failure");
-      }
-      task->bolt->ExecuteBatch(
-          std::span<const Tuple* const>(inputs.data(), inputs.size()),
-          collector);
-      executed_ok = true;
-    } catch (...) {
-      // The whole batch fails as one unit: no acks are staged, so under
-      // at-least-once every root in it times out and replays.
-      task->metrics->IncBoltExceptions();
-    }
-    collector->End();
-    STREAMLIB_CHECK_MSG(collector->total_emitted() == emitted_before,
-                        "batch-capable bolt emitted during ExecuteBatch");
-  }
+  STREAMLIB_CHECK_MSG(collector->total_emitted() == emitted_before,
+                      "batch-capable bolt emitted during ExecuteBatch");
   if (executed_ok) {
     const uint64_t now = NowNanos();
-    for (size_t i = 0; i < batch.size(); i++) {
-      const Message& message = batch[i];
+    for (const Message& message : batch) {
       if (message.emit_time_nanos > 0) {
         task->metrics->RecordLatencyNanos(now - message.emit_time_nanos);
       }
       // Nothing was emitted, so each input's ledger entry closes with its
       // own edge id.
-      if (message.root_id != 0 && !(faults && ack_lost[i] != 0)) {
+      if (message.root_id != 0) {
         collector->Ack(message.root_id, message.edge_id);
       }
     }
   }
   collector->FlushAll();
   if (executed_ok) task->metrics->IncExecuted(batch.size());
-  if (crash_now) RestartBolt(task);
   FinishPending(batch.size());
 }
 
@@ -785,24 +750,21 @@ void TopologyEngine::ExecuteBatchFused(Task* task, std::span<Message> batch) {
 /// in every slot), then release held input (its emissions land after the
 /// barrier, in the next epoch — matching the tags the data carries).
 void TopologyEngine::HandleBarrier(Task* task, uint32_t producer,
-                                   uint64_t epoch, bool* crashed) {
+                                   uint64_t epoch) {
   const uint64_t snap = task->aligner->OnBarrier(producer, epoch, NowNanos());
   if (snap == 0) return;
   CutEpoch(task, snap);
-  ReleaseHeld(task, snap + 1, crashed);
+  ReleaseHeld(task, snap + 1);
 }
 
 /// Executes (and finishes) every held message with tag <= max_tag,
-/// compacting the rest in place. A crash mid-release kills all remaining
-/// held input, released or not — it was the in-memory input of the dead
-/// task.
-void TopologyEngine::ReleaseHeld(Task* task, uint64_t max_tag,
-                                 bool* crashed) {
+/// compacting the rest in place.
+void TopologyEngine::ReleaseHeld(Task* task, uint64_t max_tag) {
   if (task->held.empty()) return;
   size_t finished = 0;
   size_t kept = 0;
   for (size_t i = 0; i < task->held.size(); i++) {
-    if (!*crashed && task->held_tags[i] > max_tag) {
+    if (task->held_tags[i] > max_tag) {
       if (kept != i) {
         task->held[kept] = std::move(task->held[i]);
         task->held_tags[kept] = task->held_tags[i];
@@ -811,11 +773,7 @@ void TopologyEngine::ReleaseHeld(Task* task, uint64_t max_tag,
       continue;
     }
     finished++;
-    if (!*crashed) *crashed = RunStage(task, task->held[i], nullptr);
-  }
-  if (*crashed && kept > 0) {
-    finished += kept;
-    kept = 0;
+    RunStage(task, task->held[i], nullptr);
   }
   task->held.resize(kept);
   task->held_tags.resize(kept);
@@ -829,8 +787,7 @@ void TopologyEngine::ReleaseHeld(Task* task, uint64_t max_tag,
 /// guarantees the loop exit never strands pending counts.
 void TopologyEngine::FlushHeld(Task* task) {
   if (task->aligner == nullptr || task->held.empty()) return;
-  bool crashed = false;
-  ReleaseHeld(task, UINT64_MAX, &crashed);
+  ReleaseHeld(task, UINT64_MAX);
   task->collector->FlushAll();
 }
 
@@ -846,9 +803,8 @@ void TopologyEngine::MaybeEpochTimeout(Task* task) {
   if (!task->aligner->TimedOut(NowNanos())) return;
   const uint64_t forced = task->aligner->ForceAdvance();
   epoch_timeouts_.fetch_add(1, std::memory_order_relaxed);
-  bool crashed = false;
   task->collector->EmitBarrier(forced);
-  ReleaseHeld(task, forced + 1, &crashed);
+  ReleaseHeld(task, forced + 1);
   task->collector->FlushAll();
 }
 

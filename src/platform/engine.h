@@ -75,9 +75,10 @@ struct EngineConfig {
   /// buffers and flush as one batch push when a buffer reaches this size
   /// (or when the producing Execute/NextTuple batch ends). 1 disables
   /// output batching (per-tuple pushes, the pre-batching data plane).
+  /// At most 65536, like execute_batch_size.
   size_t emit_batch_size = 32;
   /// Max input messages a bolt executor drains per queue operation.
-  /// 1 disables input batching.
+  /// 1 disables input batching; at most 65536.
   size_t execute_batch_size = 128;
   /// Use a lock-free SPSC ring (instead of the mutex BlockingQueue) for
   /// bolt input queues with exactly one producer task, in dedicated mode.
@@ -85,8 +86,10 @@ struct EngineConfig {
   /// Fused batch execution: deliver whole input batches to bolts that
   /// declare BatchCapable() through one ExecuteBatch call (one dispatch,
   /// one ack-staging pass, batched sketch kernels) instead of per-tuple
-  /// Execute. Traced batches and non-capable bolts always take the
-  /// per-tuple path. false restores tuple-at-a-time delivery everywhere.
+  /// Execute. Traced batches, non-capable bolts, epoch alignment and armed
+  /// fault injection always take the per-tuple path. false restores
+  /// tuple-at-a-time delivery everywhere: the per-tuple baseline of
+  /// bench_t2_platform's E-batched-sketch-path table.
   bool enable_bolt_batch = true;
   /// Telemetry sampler period: every N ms a background thread snapshots
   /// all per-task counters and instantaneous queue depths into the time
@@ -255,19 +258,19 @@ class TopologyEngine {
 
   // Queued execution: one batch loop (barriers and alignment holds
   // included) feeding every message through the stage runner, plus the
-  // batch-capable bolts' single-dispatch path.
+  // batch-capable bolts' single-dispatch path, taken only while fault
+  // injection is off.
   void ExecuteBatch(Task* task, std::span<Message> batch);
   void ExecuteBatchFused(Task* task, std::span<Message> batch);
   void FinishPending(size_t n);
 
-  // The stage runner every bolt delivery executes through; true when the
-  // task crashed (and was restarted).
-  bool RunStage(Task* task, const Message& m, uint64_t* fused_ack);
+  // The stage runner every bolt delivery executes through, with all its
+  // fault draws; a crash restarts the bolt before the next delivery.
+  void RunStage(Task* task, const Message& m, uint64_t* fused_ack);
 
   // Epoch-barrier plumbing (all no-ops unless epoch_interval_tuples > 0).
-  void HandleBarrier(Task* task, uint32_t producer, uint64_t epoch,
-                     bool* crashed);
-  void ReleaseHeld(Task* task, uint64_t max_tag, bool* crashed);
+  void HandleBarrier(Task* task, uint32_t producer, uint64_t epoch);
+  void ReleaseHeld(Task* task, uint64_t max_tag);
   void FlushHeld(Task* task);
   void MaybeEpochTimeout(Task* task);
   void CutEpoch(Task* task, uint64_t epoch);

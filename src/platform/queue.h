@@ -44,21 +44,6 @@ class BlockingQueue {
     return true;
   }
 
-  /// Push that ignores the capacity bound (never blocks); false only when
-  /// closed. Used by multiplexed executors, which must never block on a
-  /// queue they may themselves be responsible for draining — the unbounded
-  /// internal buffering of pre-backpressure Storm.
-  bool ForcePush(T item) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (closed_) return false;
-      items_.push_back(std::move(item));
-      SyncApproxLocked();
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
   /// Non-blocking push; false when full or closed. On failure the item is
   /// *not* consumed: it is handed back to the caller intact, so a stalled
   /// producer can retry (or fall back to a blocking push) without paying a
@@ -111,8 +96,11 @@ class BlockingQueue {
     return pushed;
   }
 
-  /// Batch ForcePush: ignores the capacity bound; returns items.size(), or
-  /// 0 when closed (nothing is enqueued).
+  /// Push that ignores the capacity bound (never blocks); returns
+  /// items.size(), or 0 when closed (nothing is enqueued). Used by
+  /// multiplexed executors, which must never block on a queue they may
+  /// themselves be responsible for draining — the unbounded internal
+  /// buffering of pre-backpressure Storm.
   size_t ForcePushAll(std::span<T> items) {
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -128,37 +116,6 @@ class BlockingQueue {
   std::optional<T> Pop() {
     std::unique_lock<std::mutex> lock(mu_);
     not_empty_.wait(lock, [this] { return !items_.empty() || closed_; });
-    if (items_.empty()) return std::nullopt;  // Closed and drained.
-    T item = std::move(items_.front());
-    items_.pop_front();
-    SyncApproxLocked();
-    lock.unlock();
-    not_full_.notify_one();
-    return item;
-  }
-
-  /// Non-blocking pop.
-  std::optional<T> TryPop() {
-    std::optional<T> item;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (items_.empty()) return std::nullopt;
-      item = std::move(items_.front());
-      items_.pop_front();
-      SyncApproxLocked();
-    }
-    not_full_.notify_one();
-    return item;
-  }
-
-  /// Timed pop: waits up to `timeout` for an item. Returns nullopt on
-  /// timeout or when closed and drained.
-  std::optional<T> PopWithTimeout(std::chrono::nanoseconds timeout) {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!not_empty_.wait_for(lock, timeout,
-                             [this] { return !items_.empty() || closed_; })) {
-      return std::nullopt;  // Timed out.
-    }
     if (items_.empty()) return std::nullopt;  // Closed and drained.
     T item = std::move(items_.front());
     items_.pop_front();

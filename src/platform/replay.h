@@ -41,18 +41,18 @@ namespace streamlib::platform {
 /// one producer is its task i — and fields/shuffle fan-outs from a single
 /// source task; combiners fed only by the single-threaded finish pass
 /// don't count),
-/// (2) executor-site faults (bolt_throw / task_crash / acker_loss) are
-/// only armed with execute_batch_size == 1, (3) at-least-once broadcast
-/// edges out of spouts are avoided, and (4) with task_crash armed, the
-/// crash budget (max_task_crashes) never runs out — an exhausted budget
-/// is claimed by concurrently-firing sites in wall-clock order, which no
-/// sequential re-execution can reproduce, and the denial leaks into the
-/// losing site's later draw stream (a crash skips the acker-loss draw).
-/// Condition (1) pins each task's input order to one producer's program
-/// order; (2) pins the per-tuple blast radius (a crash kills the rest of a
-/// popped batch; a batch-capable bolt's throw fails its whole batch); the
-/// live ack timeout must also be long enough that only structurally
-/// unresolvable trees fail.
+/// (2) at-least-once broadcast edges out of spouts are avoided, and (3)
+/// with task_crash armed, the crash budget (max_task_crashes) never runs
+/// out — an exhausted budget is claimed by concurrently-firing sites in
+/// wall-clock order, which no sequential re-execution can reproduce, and
+/// the denial leaks into the losing site's later draw stream (a crash
+/// skips the acker-loss draw). Condition (1) pins each task's input order
+/// to one producer's program order; the live ack timeout must also be
+/// long enough that only structurally unresolvable trees fail. Batch
+/// sizes and the batch path are free: a fault takes only its own message
+/// however the live consumer batched its input, and the batch-capable
+/// path runs only with fault injection off, where it reaches the state
+/// per-message delivery reaches.
 ///
 /// Epoch checkpointing (DESIGN.md §12) composes: a recording carries each
 /// spout task's epoch cuts as barrier records, and the replay cuts there,

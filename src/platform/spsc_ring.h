@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -105,34 +104,6 @@ class SpscRing {
       not_empty_.notify_one();
     }
     return n;
-  }
-
-  /// Blocking single pop: nullopt when closed and drained.
-  std::optional<T> Pop() {
-    std::optional<T> item;
-    std::vector<T> out;
-    if (PopBatch(out, 1) == 1) item = std::move(out.front());
-    return item;
-  }
-
-  /// Timed pop: nullopt on timeout or when closed and drained.
-  std::optional<T> PopWithTimeout(std::chrono::nanoseconds timeout) {
-    std::vector<T> out;
-    const auto deadline = std::chrono::steady_clock::now() + timeout;
-    while (true) {
-      if (TryPopBatch(out, 1) == 1) return std::move(out.front());
-      if (closed_.load(std::memory_order_seq_cst)) {
-        // Closed: only remaining items count. The fence guarantees this
-        // recheck observes any push that preceded the close.
-        std::atomic_thread_fence(std::memory_order_seq_cst);
-        cached_tail_ = tail_.load(std::memory_order_acquire);
-        if (TryPopBatch(out, 1) == 1) return std::move(out.front());
-        return std::nullopt;
-      }
-      if (!SpinUntilNotEmpty() && !WaitNotEmptyUntil(deadline)) {
-        return std::nullopt;
-      }
-    }
   }
 
   /// Blocking batch pop: waits until at least one item is available, then

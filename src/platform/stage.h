@@ -89,7 +89,7 @@ struct Task {
     return ring ? ring->TryPushAll(b) : queue->TryPushAll(b);
   }
   size_t InForcePushAll(std::span<Message> b) {
-    // Rings are never selected in multiplexed mode, the only ForcePush
+    // Rings are never selected in multiplexed mode, the only ForcePushAll
     // caller; fall back to a blocking push if that ever changes.
     return ring ? ring->PushAll(b) : queue->ForcePushAll(b);
   }
@@ -126,9 +126,11 @@ struct StageEdge {
 
 /// The physical graph of one run and its deterministic per-task streams:
 /// task and fault-site construction, edge resolution and the fusion plan,
-/// routing, edge ids, the fault draws in their fixed order, and the finish
-/// pass. A draw a task takes depends only on that task's own input order,
-/// so one input order gives one schedule, however the tasks are scheduled.
+/// routing, edge ids, the transport draws, and the finish pass (the stall
+/// and executor draws are the stage runner's, TopologyEngine::RunStage). A
+/// draw a task takes depends only on that task's own input order, so one
+/// input order gives one schedule, however the tasks are scheduled and
+/// however their input is batched.
 class StageGraph {
  public:
   /// `config` must outlive the graph.
@@ -180,27 +182,6 @@ class StageGraph {
     Sleep(faults->DeliveryDelayMicros());
     if (faults->FireDropTuple()) return 0;
     return faults->FireDuplicateTuple() ? 2 : 1;
-  }
-
-  // The stage runner's draw steps (TopologyEngine::RunStage), shared with
-  // the batch path, which keeps one ExecuteBatch dispatch but draws per
-  // message, in the runner's order.
-  /// Stall (a drawn stall sleeps), then the throw decision.
-  bool StallThenDrawThrow(Task* task) {
-    if (task->stall_faults != nullptr) {
-      Sleep(task->stall_faults->QueueStallMicros());
-    }
-    return task->executor_faults != nullptr &&
-           task->executor_faults->FireBoltThrow();
-  }
-  /// What becomes of a hop whose Execute completed.
-  enum class Fate { kAck, kAckLost, kCrash };
-  /// Crash, then acker loss if the hop is `tracked` and nothing crashed.
-  Fate DrawFate(Task* task, bool tracked) {
-    FaultSite* faults = task->executor_faults.get();
-    if (faults == nullptr) return Fate::kAck;
-    if (faults->FireTaskCrash()) return Fate::kCrash;
-    return tracked && faults->FireAckerLoss() ? Fate::kAckLost : Fate::kAck;
   }
 
   /// Rebuilds `task`'s bolt from its factory and re-runs Prepare, as a

@@ -63,6 +63,22 @@ TEST(EngineConfigValidationTest, RejectsNonPositiveAckTimeout) {
   }
 }
 
+// Both batch sizes are allocations (staging buffers and pop batches
+// reserve them), so a size past the cap must fail validation rather than
+// the run.
+TEST(EngineConfigValidationTest, RejectsBatchSizesAboveTheCap) {
+  for (size_t EngineConfig::*field :
+       {&EngineConfig::emit_batch_size, &EngineConfig::execute_batch_size}) {
+    EngineConfig config;
+    config.*field = size_t{1} << 62;
+    EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
+    config.*field = (size_t{1} << 16) + 1;
+    EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
+    config.*field = size_t{1} << 16;
+    EXPECT_TRUE(config.Validate().ok());
+  }
+}
+
 TEST(EngineConfigValidationDeathTest, RunAbortsOnNonPositiveAckTimeout) {
   TopologyBuilder builder;
   builder.AddSpout("src", []() -> std::unique_ptr<Spout> {
@@ -100,11 +116,13 @@ struct ChaosRunResult {
 };
 
 /// One at-most-once chain run (src -> relay -> sink, parallelism 1) under
-/// `spec`. With one task per component every injection site is consulted a
-/// deterministic number of times — no acker, no replays, no timeout races —
-/// so two runs with the same spec must produce identical fault schedules.
+/// `spec`, fused end to end unless `enable_fusion` is false. With one task
+/// per component every injection site is consulted a deterministic number
+/// of times — no acker, no replays, no timeout races — so two runs with the
+/// same spec must produce identical fault schedules.
 ChaosRunResult RunAtMostOnceChain(const FaultSpec& spec, uint64_t n,
-                                  ExecutionMode mode) {
+                                  ExecutionMode mode,
+                                  bool enable_fusion = true) {
   auto counter = std::make_shared<std::atomic<uint64_t>>(0);
   auto sunk = std::make_shared<std::atomic<uint64_t>>(0);
   TopologyBuilder builder;
@@ -136,6 +154,7 @@ ChaosRunResult RunAtMostOnceChain(const FaultSpec& spec, uint64_t n,
   EngineConfig config;
   config.mode = mode;
   config.semantics = DeliverySemantics::kAtMostOnce;
+  config.enable_fusion = enable_fusion;
   config.faults = spec;
   TopologyEngine engine(builder.Build().value(), config);
   engine.Run();
@@ -157,32 +176,41 @@ TEST(FaultDeterminismTest, SeededReplayProducesIdenticalFaultSchedule) {
   spec.bolt_throw_prob = 0.01;
   spec.queue_stall_prob = 0.01;
   spec.queue_stall_micros = 30;
-  // Crash injection is excluded on purpose: a crash discards the *rest of
-  // the popped batch*, and batch boundaries depend on thread timing, so
-  // downstream consultation counts would no longer be schedule-free.
+  // A crash takes only its own message's ack, so its draws are
+  // schedule-free too, as long as the budget never binds.
+  spec.task_crash_prob = 0.005;
+  spec.max_task_crashes = 1u << 20;
 
-  const ChaosRunResult a = RunAtMostOnceChain(spec, 4000,
-                                              ExecutionMode::kDedicated);
-  const ChaosRunResult b = RunAtMostOnceChain(spec, 4000,
-                                              ExecutionMode::kDedicated);
+  // Fused end to end, and queued, where the consumers pop timing-dependent
+  // batches.
+  for (const bool fused : {true, false}) {
+    SCOPED_TRACE(fused ? "fused" : "queued");
+    const ChaosRunResult a =
+        RunAtMostOnceChain(spec, 4000, ExecutionMode::kDedicated, fused);
+    const ChaosRunResult b =
+        RunAtMostOnceChain(spec, 4000, ExecutionMode::kDedicated, fused);
 
-  EXPECT_GT(a.total_injected, 0u);
-  EXPECT_GT(a.injected[static_cast<size_t>(FaultKind::kDropTuple)], 0u);
-  EXPECT_GT(a.injected[static_cast<size_t>(FaultKind::kDuplicateTuple)], 0u);
-  EXPECT_GT(a.injected[static_cast<size_t>(FaultKind::kBoltThrow)], 0u);
-  EXPECT_GT(a.injected[static_cast<size_t>(FaultKind::kQueueStall)], 0u);
-  for (size_t k = 0; k < kNumFaultKinds; k++) {
-    EXPECT_EQ(a.injected[k], b.injected[k])
-        << FaultKindName(static_cast<FaultKind>(k));
+    EXPECT_GT(a.total_injected, 0u);
+    for (const FaultKind kind :
+         {FaultKind::kDropTuple, FaultKind::kDuplicateTuple,
+          FaultKind::kBoltThrow, FaultKind::kQueueStall,
+          FaultKind::kTaskCrash}) {
+      EXPECT_GT(a.injected[static_cast<size_t>(kind)], 0u)
+          << FaultKindName(kind);
+    }
+    for (size_t k = 0; k < kNumFaultKinds; k++) {
+      EXPECT_EQ(a.injected[k], b.injected[k])
+          << FaultKindName(static_cast<FaultKind>(k));
+    }
+    EXPECT_EQ(a.sink_count, b.sink_count);
+    // And a different seed must produce a different schedule
+    // (astronomically unlikely to collide across five active sites).
+    FaultSpec other = spec;
+    other.seed = spec.seed + 1;
+    const ChaosRunResult c =
+        RunAtMostOnceChain(other, 4000, ExecutionMode::kDedicated, fused);
+    EXPECT_NE(a.injected, c.injected);
   }
-  EXPECT_EQ(a.sink_count, b.sink_count);
-  // And a different seed must produce a different schedule (astronomically
-  // unlikely to collide across four active sites).
-  FaultSpec other = spec;
-  other.seed = spec.seed + 1;
-  const ChaosRunResult c = RunAtMostOnceChain(other, 4000,
-                                              ExecutionMode::kDedicated);
-  EXPECT_NE(a.injected, c.injected);
 }
 
 /// One at-least-once src -> map -> sink run (parallelism 1, shuffle edges)
@@ -407,75 +435,87 @@ TEST(CrashRestoreTest, CheckpointRestoreReproducesExactOperatorState) {
   }
 }
 
-// ------------------------- batched updates vs snapshots under chaos
+// ------------------------------- sketch checkpoints across a crash
 
-TEST(CrashRestoreTest, BatchedSketchSnapshotsStayConsistentUnderChaos) {
+TEST(CrashRestoreTest, SketchCheckpointRestoresAcrossCrashUnderChaos) {
   // src -> SketchBolt<CountMinSketch> carrying a batched update fn and a
-  // small-cadence SketchCheckpoint. The engine's fused path applies whole
-  // transport batches via AddHashBatch; the checkpoint threshold is
-  // evaluated only AFTER a batch fully applies, so every blob the store
-  // sees is a between-batches sketch — and the injected mid-run crash must
-  // restore from such a blob and finish the stream. Duplicates and drops
-  // run alongside to interleave replays with the batch/snapshot cadence.
+  // small-cadence SketchCheckpoint. The checkpoint threshold is evaluated
+  // only after an update call fully applies, so every blob the store sees
+  // is a whole sketch. Under chaos every message takes the stage runner,
+  // and the injected crash must restore from such a blob and finish the
+  // stream; duplicates and drops run alongside to interleave replays with
+  // the snapshot cadence. Fault-free, the bolt takes whole transport
+  // batches through one ExecuteBatch call, and its last checkpoint holds
+  // every payload exactly once.
   constexpr int64_t kN = 400;
-  auto state = std::make_shared<ReplayState>(kN);
-  KvCheckpointStore store;
+  for (const bool chaos : {true, false}) {
+    SCOPED_TRACE(chaos ? "chaos" : "fault-free, batched");
+    auto state = std::make_shared<ReplayState>(kN);
+    KvCheckpointStore store;
 
-  TopologyBuilder builder;
-  builder.AddSpout("src", [state]() -> std::unique_ptr<Spout> {
-    return std::make_unique<ReplaySpout>(state);
-  });
-  builder.AddBolt(
-      "cms",
-      [&store]() -> std::unique_ptr<Bolt> {
-        SketchCheckpoint checkpoint;
-        checkpoint.store = &store;
-        checkpoint.key_prefix = "cms";
-        checkpoint.every = 32;  // Many snapshots interleaved with batches.
-        return std::make_unique<SketchBolt<CountMinSketch>>(
-            CountMinSketch(512, 4),
-            [](CountMinSketch& sketch, const Tuple& t) {
-              sketch.Add(static_cast<uint64_t>(t.Int(0)));
-            },
-            FieldKeyBatchUpdate<CountMinSketch>(0), checkpoint);
-      },
-      1, {{"src", Grouping::Global()}});
+    TopologyBuilder builder;
+    builder.AddSpout("src", [state]() -> std::unique_ptr<Spout> {
+      return std::make_unique<ReplaySpout>(state);
+    });
+    builder.AddBolt(
+        "cms",
+        [&store]() -> std::unique_ptr<Bolt> {
+          SketchCheckpoint checkpoint;
+          checkpoint.store = &store;
+          checkpoint.key_prefix = "cms";
+          checkpoint.every = 32;  // Many snapshots interleaved with batches.
+          return std::make_unique<SketchBolt<CountMinSketch>>(
+              CountMinSketch(512, 4),
+              [](CountMinSketch& sketch, const Tuple& t) {
+                sketch.Add(static_cast<uint64_t>(t.Int(0)));
+              },
+              FieldKeyBatchUpdate<CountMinSketch>(0), checkpoint);
+        },
+        1, {{"src", Grouping::Global()}});
 
-  EngineConfig config;
-  config.semantics = DeliverySemantics::kAtLeastOnce;
-  config.ack_timeout_seconds = 0.15;
-  config.enable_bolt_batch = true;
-  config.faults.seed = TestSeed() ^ 0xbeef;
-  config.faults.drop_tuple_prob = 0.01;
-  config.faults.duplicate_tuple_prob = 0.02;
-  // The fused path takes ONE crash draw per transport batch, so the draw
-  // count here is tens, not kN — the probability must be sized for that.
-  config.faults.task_crash_prob = 0.5;
-  config.faults.max_task_crashes = 1;
-  TopologyEngine engine(builder.Build().value(), config);
-  engine.Run();
+    EngineConfig config;
+    config.semantics = DeliverySemantics::kAtLeastOnce;
+    config.enable_bolt_batch = true;
+    if (chaos) {
+      config.ack_timeout_seconds = 0.15;
+      config.faults.seed = TestSeed() ^ 0xbeef;
+      config.faults.drop_tuple_prob = 0.01;
+      config.faults.duplicate_tuple_prob = 0.02;
+      // One crash draw per delivered message: the crash fires within the
+      // first few deliveries.
+      config.faults.task_crash_prob = 0.5;
+      config.faults.max_task_crashes = 1;
+    }
+    TopologyEngine engine(builder.Build().value(), config);
+    engine.Run();
 
-  // The crash all but surely fired; without it the restore path under the
-  // fused batch cadence goes untested.
-  ASSERT_EQ(engine.fault_plan()->injected(FaultKind::kTaskCrash), 1u);
-  // At-least-once: every payload eventually acked despite the crash
-  // landing on (and discarding) a whole unexecuted batch.
-  EXPECT_EQ(state->acked, static_cast<uint64_t>(kN));
+    // At-least-once: every payload eventually acked, crash or not.
+    EXPECT_EQ(state->acked, static_cast<uint64_t>(kN));
 
-  // The final checkpoint must be a decodable v2 SketchBlob — the exact
-  // bytes an independent restart would restore.
-  Result<std::vector<uint8_t>> bytes = store.Fetch("cms:0");
-  ASSERT_TRUE(bytes.ok());
-  Result<CountMinSketch> restored =
-      state::FromBlob<CountMinSketch>(bytes.value());
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  // Sketch-checkpoint semantics: updates between the last Put and the
-  // crash are lost, replays may double-add — the count is approximate but
-  // must stay within the only-bounded-staleness envelope: nonzero, and no
-  // more than one full delivery per payload plus injected duplicates.
-  const uint64_t total = restored.value().total_count();
-  EXPECT_GT(total, 0u);
-  EXPECT_LE(total, static_cast<uint64_t>(kN) + state->emitted);
+    // The final checkpoint must be a decodable v2 SketchBlob — the exact
+    // bytes an independent restart would restore.
+    Result<std::vector<uint8_t>> bytes = store.Fetch("cms:0");
+    ASSERT_TRUE(bytes.ok());
+    Result<CountMinSketch> restored =
+        state::FromBlob<CountMinSketch>(bytes.value());
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    const uint64_t total = restored.value().total_count();
+    if (!chaos) {
+      EXPECT_EQ(engine.fault_plan(), nullptr);
+      EXPECT_EQ(total, static_cast<uint64_t>(kN));
+      continue;
+    }
+    // The crash all but surely fired; without it the restore path goes
+    // untested.
+    ASSERT_EQ(engine.fault_plan()->injected(FaultKind::kTaskCrash), 1u);
+    // Sketch-checkpoint semantics: updates between the last Put and the
+    // crash are lost, replays may double-add — the count is approximate
+    // but must stay within the only-bounded-staleness envelope: nonzero,
+    // and no more than one full delivery per payload plus injected
+    // duplicates.
+    EXPECT_GT(total, 0u);
+    EXPECT_LE(total, static_cast<uint64_t>(kN) + state->emitted);
+  }
 }
 
 // -------------------------------------------- ack-timeout replay (no dup)

@@ -3,12 +3,14 @@
 // nothing), engine execution through fused chains (counts and results
 // identical to the queued baseline), the default config's fusion of the
 // Figure-1 job's spout -> parse edge, the fused-vs-queued fault-schedule
-// equality contract, the per-message draw sizing of the batched execute
-// path, and the injectable-Clock alignment-timeout determinism fix.
+// equality contract, one fault blast radius whatever the batching, and
+// the injectable-Clock alignment-timeout determinism fix.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <map>
@@ -16,6 +18,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -446,11 +449,10 @@ TEST(FusedEngineTest, DefaultConfigFusesOnlySpoutToParse) {
 // -------------------------------------------- fault-schedule equality
 
 TEST(FusedFaultScheduleTest, FusedChainDrawsIdenticalScheduleToQueued) {
-  // The PR 3 contract, extended across compilation modes: with the same
-  // seed, every fault site must consult its PRNG the same number of times
-  // and fire the same draws whether the chain runs fused or queued.
-  // (Crash stays 0: a crash's blast radius is defined in terms of queue
-  // batches.)
+  // The same-seed => same-schedule contract, extended across compilation
+  // modes: with the same seed, every fault site must consult its PRNG the
+  // same number of times and fire the same draws whether the chain runs
+  // fused or queued.
   FaultSpec faults;
   faults.seed = 0xabcde;
   faults.drop_tuple_prob = 0.05;
@@ -491,52 +493,105 @@ TEST(FusedFaultScheduleTest, FusedChainDrawsIdenticalScheduleToQueued) {
   EXPECT_EQ(fused_more.injected, queued_more.injected);
   EXPECT_EQ(fused_more.completed_roots, queued_more.completed_roots);
   EXPECT_EQ(fused_more.failed_roots, queued_more.failed_roots);
+
+  // Third mix: task crashes too, under a budget that never binds. A crash
+  // loses only its own message's ack and restarts the bolt for the next
+  // message, whether that comes later in a popped batch or over a fused
+  // edge, so the consumer sites draw alike.
+  FaultSpec crashes = more;
+  crashes.task_crash_prob = 0.01;
+  crashes.max_task_crashes = 1u << 20;
+  const RunOutcome queued_crash =
+      RunChain(1500, /*fuse=*/false, DeliverySemantics::kAtLeastOnce, crashes);
+  const RunOutcome fused_crash =
+      RunChain(1500, /*fuse=*/true, DeliverySemantics::kAtLeastOnce, crashes);
+  EXPECT_GT(queued_crash.injected[static_cast<size_t>(FaultKind::kTaskCrash)],
+            0u);
+  EXPECT_EQ(fused_crash.site_stats, queued_crash.site_stats);
+  EXPECT_EQ(fused_crash.injected, queued_crash.injected);
+  EXPECT_EQ(fused_crash.completed_roots, queued_crash.completed_roots);
+  EXPECT_EQ(fused_crash.failed_roots, queued_crash.failed_roots);
 }
 
-// -------------------------------------- batched-path draw sizing bugfix
+// ------------------------------------ one blast radius, any batching
 
-/// Pure accumulator that opts into the batched execute path.
+/// Pure accumulator that opts into the batched execute path. It spins
+/// about 2 us per tuple, so its producer keeps the queue full and pops
+/// return full batches, and it folds every value it executed into a sum
+/// shared across crash restarts.
 class BatchAccumBolt : public Bolt {
  public:
+  explicit BatchAccumBolt(std::shared_ptr<std::atomic<int64_t>> sum)
+      : sum_(std::move(sum)) {}
   void Execute(const Tuple& input, OutputCollector*) override {
-    sum_ += input.Int(1);
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::microseconds(2);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+    sum_->fetch_add(input.Int(1), std::memory_order_relaxed);
   }
   bool BatchCapable() const override { return true; }
 
  private:
-  int64_t sum_ = 0;
+  std::shared_ptr<std::atomic<int64_t>> sum_;
 };
 
 TEST(FusedFaultScheduleTest, BatchedExecuteDrawsPerMessageLikeScalar) {
-  // Regression for the fused-ExecuteBatch sizing drift: the batched path
-  // used to draw ONE throw + ONE crash decision per batch, making the
-  // executor site's stream depend on timing-sensitive batch boundaries.
-  // Per-message draws make batched and scalar delivery consult the site
-  // identically for the same seed.
-  auto run = [](bool batched) {
-    TupleSink unused;
-    (void)unused;
+  // A fault takes only its own message, whatever batch it was popped in:
+  // under every executor fault (a crash budget that never binds), a queued
+  // consumer draws and accumulates the same at execute_batch_size 1 and at
+  // the default, with the batch path on and off.
+  struct Outcome {
+    std::map<uint64_t, FaultSiteStats> site_stats;
+    std::array<uint64_t, kNumFaultKinds> injected{};
+    int64_t sum = 0;
+  };
+  auto run = [](size_t execute_batch_size, bool batched) {
+    auto sum = std::make_shared<std::atomic<int64_t>>(0);
     TopologyBuilder builder;
     builder.AddSpout("src", [] { return MakeCountingSpout(4000); });
     builder.AddBolt(
-        "accum", []() -> std::unique_ptr<Bolt> {
-          return std::make_unique<BatchAccumBolt>();
+        "accum", [sum]() -> std::unique_ptr<Bolt> {
+          return std::make_unique<BatchAccumBolt>(sum);
         },
         1, {{"src", Grouping::Shuffle()}});
     EngineConfig config;
+    config.semantics = DeliverySemantics::kAtLeastOnce;
+    config.enable_fusion = false;  // Batches come from queue pops.
+    config.execute_batch_size = execute_batch_size;
     config.enable_bolt_batch = batched;
+    config.ack_timeout_seconds = 0.2;  // Fault-hit roots fail fast.
     config.telemetry_sample_interval_ms = 0;
     config.faults.seed = 0x77;
-    config.faults.bolt_throw_prob = 0.05;
+    config.faults.bolt_throw_prob = 0.02;
+    config.faults.task_crash_prob = 0.02;
+    config.faults.max_task_crashes = 1u << 20;
+    config.faults.acker_loss_prob = 0.02;
+    config.faults.queue_stall_prob = 0.02;
+    config.faults.queue_stall_micros = 1;
     TopologyEngine engine(builder.Build().value(), config);
     engine.Run();
-    return engine.fault_plan()->SiteStatsSnapshot();
+    return Outcome{engine.fault_plan()->SiteStatsSnapshot(),
+                   engine.fault_plan()->Snapshot(), sum->load()};
   };
 
-  const auto batched = run(true);
-  const auto scalar = run(false);
-  ASSERT_FALSE(batched.empty());
-  EXPECT_EQ(batched, scalar);
+  const Outcome scalar = run(1, /*batched=*/false);
+  for (const FaultKind kind :
+       {FaultKind::kBoltThrow, FaultKind::kTaskCrash,
+        FaultKind::kAckerEventLoss, FaultKind::kQueueStall}) {
+    EXPECT_GT(scalar.injected[static_cast<size_t>(kind)], 0u)
+        << FaultKindName(kind);
+  }
+  for (const size_t size : {size_t{1}, EngineConfig{}.execute_batch_size}) {
+    for (const bool batched : {false, true}) {
+      SCOPED_TRACE("execute_batch_size " + std::to_string(size) +
+                   (batched ? ", batch path on" : ", batch path off"));
+      const Outcome outcome = run(size, batched);
+      EXPECT_EQ(outcome.site_stats, scalar.site_stats);
+      EXPECT_EQ(outcome.injected, scalar.injected);
+      EXPECT_EQ(outcome.sum, scalar.sum);
+    }
+  }
 }
 
 // ------------------------------------------- deterministic clock timeout

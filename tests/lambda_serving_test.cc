@@ -57,10 +57,6 @@ TEST(LambdaConfigValidateTest, RejectsEveryBadKnobWithTypedCode) {
   EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
   config = LambdaConfig();
 
-  config.hll_precision = 10;
-  EXPECT_EQ(config.Validate().code(), StatusCode::kOutOfRange);
-  config = LambdaConfig();
-
   config.speed_snapshot_interval_records = 0;
   EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
 }

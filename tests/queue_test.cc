@@ -81,12 +81,18 @@ TEST(BlockingQueueBatchTest, BlockingPushAllCompletesAsConsumerDrains) {
 }
 
 TEST(BlockingQueueBatchTest, PopWithTimeoutTimesOutOnEmptyQueue) {
-  BlockingQueue<int> q(4);
+  BlockingQueue<int> q(2);
+  std::vector<int> out;
   const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_FALSE(q.PopWithTimeout(milliseconds(20)).has_value());
+  EXPECT_EQ(q.PopBatchWithTimeout(out, 8, milliseconds(20)), 0u);
   EXPECT_GE(std::chrono::steady_clock::now() - t0, milliseconds(15));
-  q.ForcePush(7);
-  EXPECT_EQ(q.PopWithTimeout(milliseconds(20)).value_or(-1), 7);
+  // The multiplexed flush's push ignores the capacity bound.
+  std::vector<int> in = {7, 8, 9};
+  EXPECT_EQ(q.ForcePushAll(std::span<int>(in)), 3u);
+  EXPECT_EQ(q.PopBatchWithTimeout(out, 8, milliseconds(20)), 3u);
+  EXPECT_EQ(out, (std::vector<int>{7, 8, 9}));
+  q.Close();
+  EXPECT_EQ(q.ForcePushAll(std::span<int>(in)), 0u);  // Closed: none enqueued.
 }
 
 TEST(BlockingQueueBatchTest, CloseWakesBlockedBatchOperations) {
@@ -216,12 +222,14 @@ TEST(SpscRingTest, BlockingPushAllCompletesAsConsumerDrains) {
 
 TEST(SpscRingTest, PopWithTimeoutTimesOutOnEmptyRing) {
   SpscRing<int> ring(4);
+  std::vector<int> out;
   const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_FALSE(ring.PopWithTimeout(milliseconds(20)).has_value());
+  EXPECT_EQ(ring.PopBatchWithTimeout(out, 8, milliseconds(20)), 0u);
   EXPECT_GE(std::chrono::steady_clock::now() - t0, milliseconds(15));
   int v = 9;
   EXPECT_TRUE(ring.Push(std::move(v)));
-  EXPECT_EQ(ring.PopWithTimeout(milliseconds(20)).value_or(-1), 9);
+  EXPECT_EQ(ring.PopBatchWithTimeout(out, 8, milliseconds(20)), 1u);
+  EXPECT_EQ(out, std::vector<int>{9});
 }
 
 TEST(SpscRingTest, CloseWhileEmptyUnblocksConsumer) {

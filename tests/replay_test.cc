@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -99,17 +100,28 @@ struct PipelineParts {
       std::make_shared<std::vector<uint8_t>>();
 };
 
+// Busy-waits `micros` microseconds (none at 0).
+void Spin(uint32_t micros) {
+  if (micros == 0) return;
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::microseconds(micros);
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
 // The contract-conformant pipeline every test here replays:
 //   src x1 -> relay x1 (shuffle) -> cm x`cm_parallelism` (fields, sketch
 //   checkpoints) -> merge x1 (global, captures the merged blob).
 // Every run-phase bolt has exactly one producer task, as the replay
 // determinism contract requires. With `log` set the spout replays the
 // log (at-least-once redelivery included); otherwise it generates
-// `n` words from `seed`.
+// `n` words from `seed`. Each cm update spins `cm_spin_micros`, so a slow
+// cm's pops return full batches.
 Topology BuildPipeline(uint64_t seed, uint64_t n, PipelineParts* parts,
                        std::shared_ptr<ReplayableLog> log = nullptr,
                        int64_t diverge_at = -1, uint32_t cm_parallelism = 3,
-                       uint64_t checkpoint_every = 48) {
+                       uint64_t checkpoint_every = 48,
+                       uint32_t cm_spin_micros = 0) {
   TopologyBuilder builder;
   if (log != nullptr) {
     const uint64_t end = log->Size();
@@ -132,10 +144,11 @@ Topology BuildPipeline(uint64_t seed, uint64_t n, PipelineParts* parts,
   auto store = parts->store;
   builder.AddBolt(
       "cm",
-      [store, checkpoint_every] {
+      [store, checkpoint_every, cm_spin_micros] {
         return std::make_unique<SketchBolt<CountMinSketch>>(
             CountMinSketch(512, 4),
-            [](CountMinSketch& sketch, const Tuple& input) {
+            [cm_spin_micros](CountMinSketch& sketch, const Tuple& input) {
+              Spin(cm_spin_micros);
               sketch.Add(input.Str(0));
             },
             FieldKeyBatchUpdate<CountMinSketch>(0),
@@ -439,10 +452,8 @@ EngineConfig TortureConfig(uint64_t seed, uint64_t k) {
   // requirement — while failed roots still resolve quickly.
   config.ack_timeout_seconds = 0.1;
   config.telemetry_sample_interval_ms = 0;
-  // Executor-site faults are armed, so the contract requires per-tuple
-  // batches; bolt-batch fusing stays legal because bolt_throw is the only
-  // executor probability (the draw order within a tuple can't differ).
-  config.execute_batch_size = 1;
+  // Armed faults keep every delivery on the stage runner; the flag still
+  // round-trips through the recording.
   config.enable_bolt_batch = (k % 2 == 0);
   config.faults.seed = seed ^ 0xfau;
   config.faults.drop_tuple_prob = 0.02;
@@ -521,7 +532,10 @@ TEST(RecordReplayTortureTest, HundredSeedsReplayBitIdentical) {
 // budget > 0), restarts from its factory, and restores its sketch from
 // the checkpoint store — and the replay, maintaining its own store at the
 // same cadence, walks through the identical crash/restore and still
-// reproduces counters and state exactly.
+// reproduces counters and state exactly. The run keeps the default batch
+// size and batch path, and the cm tasks are slow enough that their pops
+// return full batches, so a crash lands mid-batch; the replay steps one
+// message at a time.
 TEST(RecordReplayChaosTest, CrashAndRestoreMidRecordingReplaysIdentically) {
   const uint64_t n = 400;
   bool crash_covered = false;
@@ -535,11 +549,6 @@ TEST(RecordReplayChaosTest, CrashAndRestoreMidRecordingReplaysIdentically) {
     config.semantics = DeliverySemantics::kAtLeastOnce;
     config.ack_timeout_seconds = 0.15;
     config.telemetry_sample_interval_ms = 0;
-    // Several executor-site probabilities at once: the contract then
-    // demands the scalar per-tuple path (fused batching would consult the
-    // crash draw before the throw draw).
-    config.execute_batch_size = 1;
-    config.enable_bolt_batch = false;
     config.faults.seed = seed ^ 0x5eedu;
     // The crash budget must never bind: an exhausted budget is allocated
     // to concurrently-firing sites in wall-clock order, which a
@@ -555,7 +564,8 @@ TEST(RecordReplayChaosTest, CrashAndRestoreMidRecordingReplaysIdentically) {
     const RecordedRun run =
         RecordRun(path, config,
                   BuildPipeline(seed, n, &live, nullptr, -1, 3,
-                                /*checkpoint_every=*/32));
+                                /*checkpoint_every=*/32,
+                                /*cm_spin_micros=*/10));
     ASSERT_TRUE(run.has_summary);
     const uint64_t crashes =
         run.summary.faults_by_kind[static_cast<size_t>(FaultKind::kTaskCrash)];
@@ -622,13 +632,12 @@ Topology FusibleChain(bool fuse_spout_edge, uint32_t parallelism, uint64_t n,
   return builder.Build().value();
 }
 
-// Every data-plane fault kind, executor sites at execute_batch_size 1.
+// Every data-plane fault kind.
 EngineConfig FaultyFusionConfig(DeliverySemantics semantics) {
   EngineConfig config;
   config.seed = TestSeed() ^ 0xf05e;
   config.semantics = semantics;
   config.enable_fusion = true;
-  config.execute_batch_size = 1;
   config.ack_timeout_seconds = 0.5;
   config.telemetry_sample_interval_ms = 0;
   config.faults.seed = config.seed ^ 0xfau;
@@ -789,7 +798,6 @@ TEST(ReplayBreakpointTest, FirstFaultPausesOnceThenRunsToEnd) {
   const uint64_t seed = TestSeed() ^ 0xf0;
   EngineConfig config;
   config.telemetry_sample_interval_ms = 0;
-  config.execute_batch_size = 1;
   config.faults.seed = seed ^ 1;
   config.faults.drop_tuple_prob = 0.25;
   PipelineParts live;
@@ -883,6 +891,29 @@ TEST(ReplayInspectionTest, BoltStateBlobReportsTypedErrors) {
   EXPECT_TRUE(replay.BoltStateBlob("cm", 0).ok());
   EXPECT_FALSE(replay.TaskStateBlob(0).has_value());  // Spout.
   EXPECT_TRUE(replay.TaskStateBlob(2).has_value());   // cm shard 0.
+}
+
+// A recording whose batch sizes pass the cap reads back, but its replay
+// refuses to build the engine instead of aborting on the allocation.
+TEST(ReplayInspectionTest, PrepareRejectsBatchSizesAboveTheCap) {
+  for (const bool emit : {true, false}) {
+    SCOPED_TRACE(emit ? "emit_batch_size" : "execute_batch_size");
+    const std::string path = TempPath("huge_batch.slfr");
+    EngineConfig config;
+    (emit ? config.emit_batch_size : config.execute_batch_size) = 1ull << 62;
+    PipelineParts parts;
+    Result<std::unique_ptr<RunRecorder>> recorder =
+        RunRecorder::Create(path, config, BuildPipeline(1, 4, &parts));
+    ASSERT_TRUE(recorder.ok());
+    recorder.value()->RecordEmission(0,
+                                     Tuple::Of(std::string("w"), int64_t{0}));
+    ASSERT_TRUE(recorder.value()->Finalize().ok());
+    Result<RecordedRun> run = ReadRecording(path);
+    std::remove(path.c_str());
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    ReplayEngine replay(BuildPipeline(0, 0, &parts), run.value());
+    EXPECT_EQ(replay.Prepare().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(ReplayInspectionTest, PrepareRejectsMismatchedTopology) {
