@@ -8,13 +8,6 @@ Status LambdaConfig::Validate() const {
   if (batch_interval_records < 1) {
     return Status::InvalidArgument("batch_interval_records must be >= 1");
   }
-  if (cms_width == 0 || cms_depth == 0) {
-    return Status::InvalidArgument(
-        "speed-layer Count-Min geometry must be non-zero (width and depth)");
-  }
-  if (topk_capacity == 0) {
-    return Status::InvalidArgument("topk_capacity must be >= 1");
-  }
   if (speed_snapshot_interval_records < 1) {
     return Status::InvalidArgument(
         "speed_snapshot_interval_records must be >= 1 (1 publishes on every "
@@ -25,8 +18,7 @@ Status LambdaConfig::Validate() const {
 
 LambdaPipeline::LambdaPipeline(const LambdaConfig& config)
     : config_(config),
-      speed_(config.cms_width, config.cms_depth, config.topk_capacity,
-             config.speed_snapshot_interval_records),
+      speed_(config.speed_snapshot_interval_records),
       serving_(&speed_) {
   const Status status = config.Validate();
   STREAMLIB_CHECK_MSG(status.ok(), "invalid LambdaConfig: %s",

@@ -24,9 +24,6 @@ struct LambdaConfig {
   /// (SpeedSuffixLength) stay below 2 × this while one is in flight, and
   /// below this once it lands (LambdaPipeline::WaitForBatch).
   uint64_t batch_interval_records = 10000;
-  uint32_t cms_width = 2048;   ///< speed-layer Count-Min width
-  uint32_t cms_depth = 4;      ///< speed-layer Count-Min depth
-  size_t topk_capacity = 256;  ///< speed-layer SpaceSaving entries
 
   /// The speed layer publishes an immutable SpeedView every this many
   /// ingests (plus on every batch hand-off). This is the staleness bound of

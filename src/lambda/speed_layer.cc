@@ -15,15 +15,8 @@ std::vector<std::pair<std::string, double>> SpeedView::TopK(size_t k) const {
   return out;
 }
 
-SpeedLayer::SpeedLayer(uint32_t cms_width, uint32_t cms_depth,
-                       size_t topk_capacity, uint64_t snapshot_interval)
-    : cms_width_(cms_width),
-      cms_depth_(cms_depth),
-      topk_capacity_(topk_capacity),
-      snapshot_interval_(snapshot_interval),
-      totals_(cms_width, cms_depth, /*conservative=*/true),
-      topk_(topk_capacity),
-      distinct_(kDistinctKeysPrecision) {
+SpeedLayer::SpeedLayer(uint64_t snapshot_interval)
+    : snapshot_interval_(snapshot_interval) {
   STREAMLIB_CHECK_MSG(snapshot_interval >= 1,
                       "speed-layer snapshot interval must be >= 1");
   std::lock_guard<std::mutex> lock(mu_);
@@ -31,8 +24,7 @@ SpeedLayer::SpeedLayer(uint32_t cms_width, uint32_t cms_depth,
 }
 
 std::shared_ptr<const SpeedView> SpeedLayer::FreezeLocked() {
-  auto view =
-      std::make_shared<SpeedView>(cms_width_, cms_depth_, topk_capacity_);
+  auto view = std::make_shared<SpeedView>();
   view->version = ++next_version_;
   view->from_offset = from_offset_;
   view->ingested = ingested_;
@@ -92,8 +84,9 @@ std::vector<std::pair<std::string, double>> SpeedLayer::TopK(size_t k) const {
 void SpeedLayer::RestartLocked(uint64_t offset) {
   from_offset_ = offset;
   ingested_ = 0;
-  totals_ = CountMinSketch(cms_width_, cms_depth_, /*conservative=*/true);
-  topk_ = SpaceSaving<std::string>(topk_capacity_);
+  totals_ = CountMinSketch(kSpeedCmsWidth, kSpeedCmsDepth,
+                           /*conservative=*/true);
+  topk_ = SpaceSaving<std::string>(kSpeedTopKCapacity);
   distinct_ = HyperLogLog(kDistinctKeysPrecision);
   PublishLocked();
 }

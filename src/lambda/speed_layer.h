@@ -17,6 +17,12 @@
 
 namespace streamlib::lambda {
 
+/// Sketch geometry of every speed view, live and published: Count-Min
+/// width and depth for per-key totals, SpaceSaving entries for top-k.
+inline constexpr uint32_t kSpeedCmsWidth = 2048;
+inline constexpr uint32_t kSpeedCmsDepth = 4;
+inline constexpr size_t kSpeedTopKCapacity = 256;
+
 /// An immutable, versioned snapshot of the speed layer's sketches. Published
 /// RCU-style: once a SpeedView is handed out it never changes, so any number
 /// of reader threads can query it concurrently without synchronization while
@@ -27,14 +33,10 @@ struct SpeedView {
   uint64_t from_offset = 0;  ///< first log offset this view covers
   uint64_t ingested = 0;     ///< records folded into the sketches
 
-  CountMinSketch totals;
-  SpaceSaving<std::string> topk;
-  HyperLogLog distinct;
-
-  SpeedView(uint32_t cms_width, uint32_t cms_depth, size_t topk_capacity)
-      : totals(cms_width, cms_depth, /*conservative=*/true),
-        topk(topk_capacity),
-        distinct(kDistinctKeysPrecision) {}
+  CountMinSketch totals{kSpeedCmsWidth, kSpeedCmsDepth,
+                        /*conservative=*/true};
+  SpaceSaving<std::string> topk{kSpeedTopKCapacity};
+  HyperLogLog distinct{kDistinctKeysPrecision};
 
   /// Exclusive end of the log range the view covers.
   uint64_t through_offset() const { return from_offset + ingested; }
@@ -65,13 +67,10 @@ struct SpeedView {
 /// bench compares against; the scalable read path is View().
 class SpeedLayer {
  public:
-  /// \param cms_width/cms_depth  Count-Min geometry for per-key totals.
-  /// \param topk_capacity        SpaceSaving entries for real-time top-k.
-  /// \param snapshot_interval    publish a fresh SpeedView every this many
-  ///                             ingests (the staleness bound of the
-  ///                             lock-free read path; >= 1).
-  SpeedLayer(uint32_t cms_width, uint32_t cms_depth, size_t topk_capacity,
-             uint64_t snapshot_interval = 256);
+  /// \param snapshot_interval  publish a fresh SpeedView every this many
+  ///                           ingests (the staleness bound of the
+  ///                           lock-free read path; >= 1).
+  explicit SpeedLayer(uint64_t snapshot_interval = 256);
 
   /// Ingests one record (must have offset >= from_offset()). Returns true
   /// when this ingest crossed the snapshot interval and published a fresh
@@ -120,9 +119,6 @@ class SpeedLayer {
   /// the empty view. Caller holds mu_.
   void RestartLocked(uint64_t offset);
 
-  uint32_t cms_width_;
-  uint32_t cms_depth_;
-  size_t topk_capacity_;
   uint64_t snapshot_interval_;
 
   mutable std::mutex mu_;
@@ -130,9 +126,10 @@ class SpeedLayer {
   uint64_t ingested_ = 0;
   uint64_t since_publish_ = 0;  ///< ingests since the last published view
   uint64_t next_version_ = 0;
-  CountMinSketch totals_;
-  SpaceSaving<std::string> topk_;
-  HyperLogLog distinct_;
+  CountMinSketch totals_{kSpeedCmsWidth, kSpeedCmsDepth,
+                         /*conservative=*/true};
+  SpaceSaving<std::string> topk_{kSpeedTopKCapacity};
+  HyperLogLog distinct_{kDistinctKeysPrecision};
 
   /// RCU publication point: readers atomic-load, writers swap whole views.
   RcuPtr<SpeedView> view_;

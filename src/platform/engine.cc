@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <string>
 #include <unordered_map>
 
@@ -31,11 +32,16 @@ uint64_t TimeoutNanos(double seconds) {
 /// many messages up front, so a size is an allocation, not only a policy.
 constexpr size_t kMaxBatchSize = size_t{1} << 16;
 
+/// Cap on queue_capacity, for the same reason: an SPSC ring allocates its
+/// whole slot array, rounded up to a power of two, when it is built.
+constexpr size_t kMaxQueueCapacity = size_t{1} << 20;
+
 }  // namespace
 
 Status EngineConfig::Validate() const {
-  if (queue_capacity == 0) {
-    return Status::InvalidArgument("queue_capacity must be >= 1");
+  if (queue_capacity == 0 || queue_capacity > kMaxQueueCapacity) {
+    return Status::InvalidArgument("queue_capacity must be in [1, " +
+                                   std::to_string(kMaxQueueCapacity) + "]");
   }
   if (emit_batch_size == 0 || execute_batch_size == 0 ||
       emit_batch_size > kMaxBatchSize || execute_batch_size > kMaxBatchSize) {
@@ -419,14 +425,15 @@ TopologyEngine::~TopologyEngine() = default;
 
 uint64_t TopologyEngine::NowNanos() const { return clock_->NowNanos(); }
 
-void TopologyEngine::BuildTasks() {
+void TopologyEngine::BuildTasks(bool stepped) {
   graph_.Build(topology_, &metrics_);
   const std::vector<std::unique_ptr<Task>>& tasks = graph_.tasks();
   // Input channels: a bolt task whose input has exactly one producer task
   // gets the lock-free SPSC ring (dedicated mode only — both endpoints are
   // single threads there); everything else gets the MPMC blocking queue.
   // Fused consumers have no input channel at all: their tuples arrive as
-  // inline calls on their producer's thread.
+  // inline calls on their producer's thread. The stepped scheduler's one
+  // thread never waits for a consumer, so its queues are unbounded.
   std::vector<bool> fused_consumer(tasks.size(), false);
   for (const auto& task : tasks) {
     if (task->fused_next != nullptr) {
@@ -436,8 +443,11 @@ void TopologyEngine::BuildTasks() {
   for (const auto& task : tasks) {
     if (task->bolt == nullptr || fused_consumer[task->global_index]) continue;
     const uint64_t producers = graph_.producer_tasks(task->component_index);
-    if (config_.enable_spsc && config_.mode == ExecutionMode::kDedicated &&
-        producers == 1) {
+    if (stepped) {
+      task->queue = std::make_unique<BlockingQueue<Message>>(
+          std::numeric_limits<size_t>::max());
+    } else if (config_.enable_spsc &&
+               config_.mode == ExecutionMode::kDedicated && producers == 1) {
       task->ring = std::make_unique<SpscRing<Message>>(config_.queue_capacity);
       spsc_edges_++;
     } else {
@@ -1031,7 +1041,7 @@ void TopologyEngine::ResolveRoot(uint64_t root, size_t spout_task,
   inflight_roots_.fetch_sub(1, std::memory_order_relaxed);
 }
 
-Status TopologyEngine::Start() {
+Status TopologyEngine::Start(bool stepped) {
   STREAMLIB_CHECK_MSG(!ran_, "TopologyEngine is single-use");
   ran_ = true;
   STREAMLIB_RETURN_NOT_OK(config_.Validate());
@@ -1042,7 +1052,7 @@ Status TopologyEngine::Start() {
         "resume_from_epoch " + std::to_string(resume) +
         " was never marked complete");
   }
-  BuildTasks();
+  BuildTasks(stepped);
   if (config_.epoch_interval_tuples > 0) {
     // Every task (spouts included) acks every epoch; the coordinator marks
     // an epoch complete — restorable — only on the full set.
@@ -1076,7 +1086,7 @@ void TopologyEngine::Finish() {
 }
 
 void TopologyEngine::Run() {
-  const Status started = Start();
+  const Status started = Start(/*stepped=*/false);
   STREAMLIB_CHECK_MSG(started.ok(), "cannot run the topology: %s",
                       started.ToString().c_str());
   if (acker_queue_ != nullptr) {
@@ -1150,7 +1160,7 @@ void TopologyEngine::Run() {
 // ------------------------------------------------------- stepped scheduler
 
 Status TopologyEngine::StartStepped() {
-  STREAMLIB_RETURN_NOT_OK(Start());
+  STREAMLIB_RETURN_NOT_OK(Start(/*stepped=*/true));
   // Every task a threaded run gives a thread prepares here, in index order.
   for (const auto& task : graph_.tasks()) {
     if (task->spout != nullptr || task->HasInput()) PrepareOnThread(task.get());

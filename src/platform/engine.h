@@ -62,7 +62,7 @@ inline bool TracksTuples(DeliverySemantics s) {
 struct EngineConfig {
   ExecutionMode mode = ExecutionMode::kDedicated;
   DeliverySemantics semantics = DeliverySemantics::kAtMostOnce;
-  size_t queue_capacity = 1024;      ///< per-task input queue bound
+  size_t queue_capacity = 1024;      ///< per-task input queue bound, <= 2^20
   uint32_t multiplexed_threads = 2;  ///< executor pool size (kMultiplexed)
   size_t max_spout_pending = 4096;   ///< at-least-once spout throttle
   uint64_t seed = 0x5eed;            ///< shuffle-grouping randomness
@@ -195,8 +195,8 @@ class TopologyEngine {
   /// Run()). 0 whenever enable_fusion is false or nothing was eligible.
   size_t fused_edges() const { return plan()->fused_edge_count(); }
 
-  /// Injected-fault counters for this run; null when config.faults is
-  /// disabled. Valid from Run() start (tests read it after Run returns).
+  /// This run's fault sites and their counts; null when config.faults is
+  /// disabled. Built at Run() start; read its counts after Run() returns.
   const FaultPlan* fault_plan() const { return graph_.fault_plan(); }
 
   /// Epoch checkpointing results (barriers enabled; after Run()).
@@ -216,16 +216,18 @@ class TopologyEngine {
   struct AckerEvent;
 
   // Run()'s two phases around its threads. Start validates the config,
-  // builds the tasks and their channels, the epoch coordinator and the
-  // acker queue (failing on an invalid config or a resume epoch that
-  // never completed); Finish runs the finish pass and the telemetry and
+  // builds the tasks and their channels (`stepped`: the stepped
+  // scheduler's unbounded queues), the epoch coordinator and the acker
+  // queue (failing on an invalid config or a resume epoch that never
+  // completed); Finish runs the finish pass and the telemetry and
   // recording epilogue.
-  Status Start();
+  Status Start(bool stepped);
   void Finish();
 
   // The stepped scheduler: the same build and finish phases around one
-  // thread instead of many, over a config whose clock is a ManualClock and
-  // whose bolts all have queues (no SPSC rings, no bound). Each unit is one
+  // thread instead of many, over a config whose clock is a ManualClock,
+  // and every queued bolt gets an unbounded BlockingQueue (no SPSC rings,
+  // no bound). Each unit is one
   // spout record (an emission, or a barrier: the spout's epoch cut) fed
   // through the spout task's own collector, or one queued message run
   // through ExecuteBatch — the lowest-indexed task's oldest. After every
@@ -239,7 +241,7 @@ class TopologyEngine {
   size_t QueuedMessages() const;
   void SettleStep();
 
-  void BuildTasks();
+  void BuildTasks(bool stepped);
   void StartSampler();
   void DrainTraces();
   void PrepareOnThread(Task* task);

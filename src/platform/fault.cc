@@ -52,8 +52,7 @@ Status FaultSpec::Validate() const {
   return Status::OK();
 }
 
-FaultPlan::FaultPlan(FaultSpec spec)
-    : spec_(spec), crash_budget_(spec.max_task_crashes) {}
+FaultPlan::FaultPlan(FaultSpec spec) : spec_(spec) {}
 
 std::unique_ptr<FaultSite> FaultPlan::MakeSite(uint64_t site_id,
                                                TaskMetrics* metrics) {
@@ -65,16 +64,14 @@ std::unique_ptr<FaultSite> FaultPlan::MakeSite(uint64_t site_id,
 
 uint64_t FaultPlan::total_injected() const {
   uint64_t total = 0;
-  for (const auto& counter : injected_) {
-    total += counter.load(std::memory_order_relaxed);
-  }
+  for (const uint64_t count : Snapshot()) total += count;
   return total;
 }
 
 std::array<uint64_t, kNumFaultKinds> FaultPlan::Snapshot() const {
   std::array<uint64_t, kNumFaultKinds> out{};
-  for (size_t i = 0; i < kNumFaultKinds; i++) {
-    out[i] = injected_[i].load(std::memory_order_relaxed);
+  for (const auto& [site_id, stats] : site_stats_) {
+    for (size_t i = 0; i < kNumFaultKinds; i++) out[i] += stats->fired[i];
   }
   return out;
 }
@@ -87,17 +84,6 @@ std::map<uint64_t, FaultSiteStats> FaultPlan::SiteStatsSnapshot() const {
   return out;
 }
 
-bool FaultPlan::ConsumeCrashBudget() {
-  uint32_t budget = crash_budget_.load(std::memory_order_relaxed);
-  while (budget > 0) {
-    if (crash_budget_.compare_exchange_weak(budget, budget - 1,
-                                            std::memory_order_relaxed)) {
-      return true;
-    }
-  }
-  return false;
-}
-
 FaultSite::FaultSite(FaultPlan* plan, uint64_t site_id, TaskMetrics* metrics,
                      FaultSiteStats* stats)
     // Golden-ratio mixing keeps adjacent site ids from producing
@@ -107,12 +93,11 @@ FaultSite::FaultSite(FaultPlan* plan, uint64_t site_id, TaskMetrics* metrics,
       metrics_(metrics),
       stats_(stats) {}
 
-bool FaultSite::Draw(double prob, FaultKind kind) {
+bool FaultSite::Draw(double prob, FaultKind kind, bool allowed) {
   if (prob <= 0.0) return false;
   stats_->consulted[static_cast<size_t>(kind)]++;
-  if (rng_.NextDouble() >= prob) return false;
+  if (rng_.NextDouble() >= prob || !allowed) return false;
   stats_->fired[static_cast<size_t>(kind)]++;
-  plan_->Record(kind);
   if (metrics_ != nullptr) metrics_->IncFaultsInjected();
   return true;
 }
@@ -139,17 +124,12 @@ bool FaultSite::FireBoltThrow() {
 }
 
 bool FaultSite::FireTaskCrash() {
-  const double prob = plan_->spec_.task_crash_prob;
-  if (prob <= 0.0) return false;
-  // Always advance the PRNG so an exhausted budget leaves the site's
-  // decision stream (and every later draw) unchanged.
-  stats_->consulted[static_cast<size_t>(FaultKind::kTaskCrash)]++;
-  if (rng_.NextDouble() >= prob) return false;
-  if (!plan_->ConsumeCrashBudget()) return false;
-  stats_->fired[static_cast<size_t>(FaultKind::kTaskCrash)]++;
-  plan_->Record(FaultKind::kTaskCrash);
-  if (metrics_ != nullptr) metrics_->IncFaultsInjected();
-  return true;
+  // The budget is this site's own crash count, so whether a crash fires
+  // depends on the site's program order alone.
+  const uint64_t crashes =
+      stats_->fired[static_cast<size_t>(FaultKind::kTaskCrash)];
+  return Draw(plan_->spec_.task_crash_prob, FaultKind::kTaskCrash,
+              crashes < plan_->spec_.max_task_crashes);
 }
 
 bool FaultSite::FireAckerLoss() {

@@ -2,7 +2,6 @@
 #define STREAMLIB_PLATFORM_FAULT_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -47,8 +46,9 @@ const char* FaultKindName(FaultKind kind);
 /// (seed, site id) and consults it in the site's own program order. A
 /// site's decision stream — which consultation indices fire, and every
 /// drawn delay/stall magnitude — is therefore a pure function of the seed,
-/// independent of thread scheduling. Rerunning a failing seed replays the
-/// same fault schedule at every site.
+/// independent of thread scheduling. The crash budget is per site too, so
+/// no decision depends on another site. Rerunning a failing seed replays
+/// the same fault schedule at every site.
 struct FaultSpec {
   uint64_t seed = 0xc4a05;  ///< master seed; per-site PRNGs derive from it
 
@@ -58,7 +58,7 @@ struct FaultSpec {
   uint32_t delay_max_micros = 200;    ///< delay drawn uniform in [1, max]
   double bolt_throw_prob = 0.0;       ///< per Execute call
   double task_crash_prob = 0.0;       ///< per executed tuple (post-Execute)
-  uint32_t max_task_crashes = 1;      ///< engine-wide crash/restart budget
+  uint32_t max_task_crashes = 1;      ///< crash/restart budget per bolt task
   double queue_stall_prob = 0.0;      ///< per tuple delivered to a bolt
   uint32_t queue_stall_micros = 100;  ///< stall drawn uniform in [1, max]
   double acker_loss_prob = 0.0;       ///< per successful tracked hop
@@ -93,10 +93,11 @@ struct FaultSiteStats {
   bool operator==(const FaultSiteStats&) const = default;
 };
 
-/// Engine-wide fault-injection state for one run: the spec, the per-kind
-/// injected counters (atomic — sites on different threads record into
-/// them), and the crash budget. Owned by the engine; tests read the
-/// counters through TopologyEngine::fault_plan() or the telemetry report.
+/// Fault-injection state for one run: the spec and every site's stats.
+/// Each decision and each count belongs to one site and is written only
+/// by the thread that consults it; the plan itself keeps no counter.
+/// Owned by the engine; tests read the counts through
+/// TopologyEngine::fault_plan() or the telemetry report.
 class FaultPlan {
  public:
   explicit FaultPlan(FaultSpec spec);
@@ -112,33 +113,25 @@ class FaultPlan {
   /// per-task faults_injected increments.
   std::unique_ptr<FaultSite> MakeSite(uint64_t site_id, TaskMetrics* metrics);
 
-  /// Faults actually injected so far, per kind / in total.
+  // Each site's stats are written, unsynchronized, by the one thread that
+  // consults the site. Read the four counts below once those draws are
+  // ordered before the read: after Run() returns, or between replay steps.
+  // TaskMetrics::faults_injected is the live per-task count.
+
+  /// Faults injected, per kind / in total: sums of the sites' fired counts.
   uint64_t injected(FaultKind kind) const {
-    return injected_[static_cast<size_t>(kind)].load(
-        std::memory_order_relaxed);
+    return Snapshot()[static_cast<size_t>(kind)];
   }
   uint64_t total_injected() const;
   std::array<uint64_t, kNumFaultKinds> Snapshot() const;
 
-  /// Copies every site's consulted/fired counters, keyed by site id. Call
-  /// only after the run's worker threads have joined (each site's stats are
-  /// written by the one thread that consults the site).
+  /// Copies every site's consulted/fired counters, keyed by site id.
   std::map<uint64_t, FaultSiteStats> SiteStatsSnapshot() const;
 
  private:
   friend class FaultSite;
 
-  void Record(FaultKind kind) {
-    injected_[static_cast<size_t>(kind)].fetch_add(1,
-                                                   std::memory_order_relaxed);
-  }
-
-  /// Claims one crash from the engine-wide budget; false once exhausted.
-  bool ConsumeCrashBudget();
-
   const FaultSpec spec_;
-  std::array<std::atomic<uint64_t>, kNumFaultKinds> injected_{};
-  std::atomic<uint32_t> crash_budget_;
   // Stats slots live here (stable addresses) so a site can outlive nothing:
   // MakeSite is called single-threaded from BuildTasks; afterwards each
   // slot is written only by its site's consulting thread.
@@ -167,7 +160,8 @@ class FaultSite {
   bool FireBoltThrow();
   /// Consulted after a successful Execute: true = the "process" dies here,
   /// between its state mutation and its ack (the MillWheel torn window).
-  /// Respects the engine-wide crash budget.
+  /// Fires at most max_task_crashes times per site; a crash the budget
+  /// denies still advances the PRNG.
   bool FireTaskCrash();
 
   /// Ack path, consulted per successful tracked hop (nothing threw or
@@ -192,8 +186,9 @@ class FaultSite {
 
   /// One Bernoulli draw against `prob`; records `kind` on fire. Skips the
   /// PRNG entirely when prob == 0 so disabled kinds cost nothing and do
-  /// not perturb the streams of enabled ones.
-  bool Draw(double prob, FaultKind kind);
+  /// not perturb the streams of enabled ones. A hit fires only if
+  /// `allowed`.
+  bool Draw(double prob, FaultKind kind, bool allowed = true);
 
   FaultPlan* plan_;
   Rng rng_;

@@ -39,10 +39,12 @@ Status TopologyPlan::FusionLegality(const PlanNode& from, const PlanNode& to,
   if (!options.enable_fusion) {
     return Status::FailedPrecondition("fusion disabled");
   }
-  // Rule 2: fused stages run inline on the producer task's thread, which
-  // only exists as a 1:1 mapping in dedicated mode. The multiplexed worker
-  // pool re-schedules tasks dynamically — fusing there would pin work to
-  // the wrong worker.
+  // Rule 2: multiplexed mode is the Storm baseline, a pool of
+  // multiplexed_threads workers that runs every bolt task (each task on
+  // one worker for the run). A fused consumer runs on its producer's
+  // thread instead, a spout's own thread when the chain starts at a
+  // spout, so fusing there would move bolt work out of the pool whose
+  // size the mode exists to measure.
   if (!options.dedicated_mode) {
     return Status::FailedPrecondition(
         "multiplexed execution: fused stages need a dedicated thread");

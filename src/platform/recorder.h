@@ -206,8 +206,8 @@ class RunRecorder {
   /// in its own append order; *cross*-shard interleaving in the file is
   /// whatever the flush timing produced, which is sound because the live
   /// cross-task interleaving was scheduler-determined nondeterminism to
-  /// begin with (replay only needs per-task program order — determinism
-  /// contract condition (1), replay.h).
+  /// begin with (replay only needs per-task program order — the
+  /// determinism contract, replay.h).
   struct Shard;
 
   RunRecorder(std::string path, std::FILE* file);

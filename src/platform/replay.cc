@@ -1,7 +1,6 @@
 #include "platform/replay.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "common/check.h"
@@ -26,13 +25,11 @@ Topology WithRecordedSpouts(Topology topology) {
   return topology;
 }
 
-/// The recorded config minus what shapes wall-clock transport only: SPSC
-/// rings, the queue bound (one thread never waits for a consumer), the
-/// sampler and tracing. None of these feeds a draw, a route or an edge id.
+/// The recorded config minus the sampler and tracing, which feed no draw,
+/// route or edge id. Its queue knobs stay as recorded and are validated:
+/// the stepped engine builds its own unbounded queues.
 EngineConfig SteppedConfig(EngineConfig config, KvCheckpointStore* store,
                            Clock* clock) {
-  config.enable_spsc = false;
-  config.queue_capacity = std::numeric_limits<size_t>::max();
   config.telemetry_sample_interval_ms = 0;
   config.trace_sample_every = 0;
   config.checkpoint_store = store;

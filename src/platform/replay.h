@@ -27,37 +27,33 @@ namespace streamlib::platform {
 /// (an inert RecordedSpout stands in for the user spout), and every
 /// nondeterministic decision — shuffle routing, fault draws, edge ids — is
 /// regenerated from the recorded seeds by the same code that drew it live.
-/// The replay's copy of the recorded config switches off only what shapes
-/// wall-clock transport (SPSC rings, the queue bound, the sampler and
-/// tracing), none of which feeds a draw. Fused hops run inline inside
+/// The stepped engine gives every queued bolt an unbounded queue (no SPSC
+/// rings, no bound), and the replay's copy of the recorded config
+/// switches off the sampler and tracing: only wall-clock transport
+/// changes, and none of it feeds a draw. Fused hops run inline inside
 /// their producer's step, as they run live. Between any two units the
 /// debugger can pause, inspect bolt state (Bolt::StateBlob) and live
 /// TaskMetrics, and resume.
 ///
 /// Determinism contract (DESIGN.md §11): replay-vs-replay of one
 /// recording is always bit-identical. Replay-vs-original is bit-identical
-/// when (1) every bolt fed during the run phase has exactly one producer
+/// when every bolt fed during the run phase has exactly one producer
 /// *task* (chains, fused chains at any parallelism — a fused consumer's
-/// one producer is its task i — and fields/shuffle fan-outs from a single
-/// source task; combiners fed only by the single-threaded finish pass
-/// don't count),
-/// (2) at-least-once broadcast edges out of spouts are avoided, and (3)
-/// with task_crash armed, the crash budget (max_task_crashes) never runs
-/// out — an exhausted budget is claimed by concurrently-firing sites in
-/// wall-clock order, which no sequential re-execution can reproduce, and
-/// the denial leaks into the losing site's later draw stream (a crash
-/// skips the acker-loss draw). Condition (1) pins each task's input order
-/// to one producer's program order; the live ack timeout must also be
-/// long enough that only structurally unresolvable trees fail. Batch
-/// sizes and the batch path are free: a fault takes only its own message
-/// however the live consumer batched its input, and the batch-capable
-/// path runs only with fault injection off, where it reaches the state
-/// per-message delivery reaches.
+/// one producer is its task i — and fields/shuffle/broadcast fan-outs
+/// from a single source task; combiners fed only by the single-threaded
+/// finish pass don't count). That pins each task's input order to one
+/// producer's program order, and every fault decision, the crash budget
+/// included, is a function of its site's input order; the live ack
+/// timeout must also be long enough that only structurally unresolvable
+/// trees fail. Batch sizes and the batch path are free: a fault takes
+/// only its own message however the live consumer batched its input, and
+/// the batch-capable path runs only with fault injection off, where it
+/// reaches the state per-message delivery reaches.
 ///
 /// Epoch checkpointing (DESIGN.md §12) composes: a recording carries each
 /// spout task's epoch cuts as barrier records, and the replay cuts there,
 /// aligns and snapshots through the engine's own barrier path, writing its
-/// frames into ReplayOptions::checkpoint_store. Under condition (1) every
+/// frames into ReplayOptions::checkpoint_store. Under the contract every
 /// aligner has one producer, so nothing is ever held and no alignment
 /// times out: the bolt frames and the set of complete epochs reproduce.
 /// A resumed recording restores from the resume epoch's frames, which the

@@ -67,7 +67,8 @@ class ReplayableLog {
 /// Spout replaying a ReplayableLog from a start offset, with at-least-once
 /// redelivery: failed roots are re-enqueued and re-emitted. Demonstrates
 /// the log-backed recovery model (and exercises the engine's OnFail path
-/// in the fault-injection tests).
+/// in the fault-injection tests). Under at-most-once nothing is tracked,
+/// so each offset is emitted once and never waits for an ack.
 class LogReplaySpout : public Spout {
  public:
   /// \param log           source log (not owned; must outlive the run).
@@ -118,11 +119,16 @@ class LogReplaySpout : public Spout {
     }
     collector->Emit(std::move(*tuple));
     // Map the engine-assigned root id to the offset so a failed root can be
-    // replayed precisely.
+    // replayed precisely. An untracked root (id 0) gets no OnAck or OnFail,
+    // so it stops being pending here.
     {
       std::lock_guard<std::mutex> lock(mu_);
       const uint64_t root = collector->LastRootId();
-      if (root != 0) root_to_offset_[root] = offset;
+      if (root != 0) {
+        root_to_offset_[root] = offset;
+      } else {
+        pending_--;
+      }
     }
     return true;
   }

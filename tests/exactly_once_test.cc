@@ -1128,10 +1128,9 @@ RecordedRun RecordEpochRun(const std::string& path, EngineConfig config,
   return std::move(run).value();
 }
 
-/// The exactly-once config of the chaos matrix, made replayable: a crash
-/// budget that never binds, and an ack timeout long enough that only
-/// fault-hit roots fail (replay.h's contract). Every data-plane and barrier
-/// fault kind is armed.
+/// The exactly-once config of the chaos matrix, made replayable: an ack
+/// timeout long enough that only fault-hit roots fail (replay.h's
+/// contract). Every data-plane and barrier fault kind is armed.
 EngineConfig RecordableEpochConfig(KvCheckpointStore* store, uint64_t resume,
                                    bool fused, uint64_t seed) {
   FaultSpec faults;
@@ -1142,7 +1141,6 @@ EngineConfig RecordableEpochConfig(KvCheckpointStore* store, uint64_t resume,
   faults.delay_max_micros = 5;
   faults.bolt_throw_prob = 0.01;
   faults.task_crash_prob = 0.004;
-  faults.max_task_crashes = 1000;
   faults.queue_stall_prob = 0.01;
   faults.queue_stall_micros = 5;
   faults.acker_loss_prob = 0.01;
@@ -1211,7 +1209,7 @@ bool HasTaskCrash(const RecordedRun& run) {
 }
 
 // A fresh exactly-once run with task crashes, recorded and replayed, on the
-// condition-(1) chain src -> relay x1 -> count x2 (fields) and on its
+// one-producer chain src -> relay x1 -> count x2 (fields) and on its
 // fused src -> relay variant: every aligner has one producer, so the
 // replay's barrier path cuts, fences and snapshots exactly as live did.
 TEST(EpochRecordingTest, FreshRunWithCrashesReplaysFramesExactly) {

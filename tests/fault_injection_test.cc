@@ -67,14 +67,20 @@ TEST(EngineConfigValidationTest, RejectsNonPositiveAckTimeout) {
 // reserve them), so a size past the cap must fail validation rather than
 // the run.
 TEST(EngineConfigValidationTest, RejectsBatchSizesAboveTheCap) {
-  for (size_t EngineConfig::*field :
-       {&EngineConfig::emit_batch_size, &EngineConfig::execute_batch_size}) {
+  const std::pair<size_t EngineConfig::*, size_t> fields[] = {
+      {&EngineConfig::emit_batch_size, size_t{1} << 16},
+      {&EngineConfig::execute_batch_size, size_t{1} << 16},
+      {&EngineConfig::queue_capacity, size_t{1} << 20},
+  };
+  for (const auto& [field, cap] : fields) {
     EngineConfig config;
     config.*field = size_t{1} << 62;
     EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
-    config.*field = (size_t{1} << 16) + 1;
+    config.*field = SIZE_MAX;
     EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
-    config.*field = size_t{1} << 16;
+    config.*field = cap + 1;
+    EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
+    config.*field = cap;
     EXPECT_TRUE(config.Validate().ok());
   }
 }
@@ -176,10 +182,9 @@ TEST(FaultDeterminismTest, SeededReplayProducesIdenticalFaultSchedule) {
   spec.bolt_throw_prob = 0.01;
   spec.queue_stall_prob = 0.01;
   spec.queue_stall_micros = 30;
-  // A crash takes only its own message's ack, so its draws are
-  // schedule-free too, as long as the budget never binds.
+  // A crash takes only its own message's ack, and each task spends its
+  // own crash budget, so crash draws are schedule-free too.
   spec.task_crash_prob = 0.005;
-  spec.max_task_crashes = 1u << 20;
 
   // Fused end to end, and queued, where the consumers pop timing-dependent
   // batches.

@@ -494,13 +494,12 @@ TEST(FusedFaultScheduleTest, FusedChainDrawsIdenticalScheduleToQueued) {
   EXPECT_EQ(fused_more.completed_roots, queued_more.completed_roots);
   EXPECT_EQ(fused_more.failed_roots, queued_more.failed_roots);
 
-  // Third mix: task crashes too, under a budget that never binds. A crash
-  // loses only its own message's ack and restarts the bolt for the next
-  // message, whether that comes later in a popped batch or over a fused
-  // edge, so the consumer sites draw alike.
+  // Third mix: task crashes too. A crash loses only its own message's ack
+  // and restarts the bolt for the next message, whether that comes later
+  // in a popped batch or over a fused edge, and each task spends its own
+  // crash budget, so the consumer sites draw alike.
   FaultSpec crashes = more;
   crashes.task_crash_prob = 0.01;
-  crashes.max_task_crashes = 1u << 20;
   const RunOutcome queued_crash =
       RunChain(1500, /*fuse=*/false, DeliverySemantics::kAtLeastOnce, crashes);
   const RunOutcome fused_crash =
@@ -538,9 +537,9 @@ class BatchAccumBolt : public Bolt {
 
 TEST(FusedFaultScheduleTest, BatchedExecuteDrawsPerMessageLikeScalar) {
   // A fault takes only its own message, whatever batch it was popped in:
-  // under every executor fault (a crash budget that never binds), a queued
-  // consumer draws and accumulates the same at execute_batch_size 1 and at
-  // the default, with the batch path on and off.
+  // under every executor fault, a queued consumer draws and accumulates
+  // the same at execute_batch_size 1 and at the default, with the batch
+  // path on and off.
   struct Outcome {
     std::map<uint64_t, FaultSiteStats> site_stats;
     std::array<uint64_t, kNumFaultKinds> injected{};
@@ -565,7 +564,9 @@ TEST(FusedFaultScheduleTest, BatchedExecuteDrawsPerMessageLikeScalar) {
     config.faults.seed = 0x77;
     config.faults.bolt_throw_prob = 0.02;
     config.faults.task_crash_prob = 0.02;
-    config.faults.max_task_crashes = 1u << 20;
+    // Many crashes, so that many land mid-batch; about 80 draws hit, so
+    // the budget still binds.
+    config.faults.max_task_crashes = 16;
     config.faults.acker_loss_prob = 0.02;
     config.faults.queue_stall_prob = 0.02;
     config.faults.queue_stall_micros = 1;

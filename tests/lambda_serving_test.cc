@@ -45,18 +45,6 @@ TEST(LambdaConfigValidateTest, RejectsEveryBadKnobWithTypedCode) {
   EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
   config = LambdaConfig();
 
-  config.cms_width = 0;
-  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
-  config = LambdaConfig();
-
-  config.cms_depth = 0;
-  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
-  config = LambdaConfig();
-
-  config.topk_capacity = 0;
-  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
-  config = LambdaConfig();
-
   config.speed_snapshot_interval_records = 0;
   EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
 }

@@ -251,7 +251,7 @@ TEST(LambdaPipelineTest, StalenessBoundedByInterval) {
 // three views, and the views meet.
 TEST(LambdaPipelineTest, SealedHandoffCountsEachRecordOnce) {
   MasterLog log;
-  SpeedLayer speed(2048, 4, 64, /*snapshot_interval=*/1);
+  SpeedLayer speed(/*snapshot_interval=*/1);
   ServingLayer serving(&speed);
   std::map<std::string, double> exact;
   uint64_t last_through = 0;

@@ -98,6 +98,9 @@ struct PipelineParts {
       std::make_shared<KvCheckpointStore>();
   std::shared_ptr<std::vector<uint8_t>> merged =
       std::make_shared<std::vector<uint8_t>>();
+  // cm bolts built: one per task, plus one per crash restart.
+  std::shared_ptr<std::atomic<uint64_t>> cm_builds =
+      std::make_shared<std::atomic<uint64_t>>(0);
 };
 
 // Busy-waits `micros` microseconds (none at 0).
@@ -116,12 +119,14 @@ void Spin(uint32_t micros) {
 // determinism contract requires. With `log` set the spout replays the
 // log (at-least-once redelivery included); otherwise it generates
 // `n` words from `seed`. Each cm update spins `cm_spin_micros`, so a slow
-// cm's pops return full batches.
+// cm's pops return full batches. With `spout_broadcast` there is no relay:
+// the spout broadcasts every word to every cm task.
 Topology BuildPipeline(uint64_t seed, uint64_t n, PipelineParts* parts,
                        std::shared_ptr<ReplayableLog> log = nullptr,
                        int64_t diverge_at = -1, uint32_t cm_parallelism = 3,
                        uint64_t checkpoint_every = 48,
-                       uint32_t cm_spin_micros = 0) {
+                       uint32_t cm_spin_micros = 0,
+                       bool spout_broadcast = false) {
   TopologyBuilder builder;
   if (log != nullptr) {
     const uint64_t end = log->Size();
@@ -134,17 +139,23 @@ Topology BuildPipeline(uint64_t seed, uint64_t n, PipelineParts* parts,
       return std::make_unique<GeneratorSpout>([gen] { return gen->Next(); });
     });
   }
-  builder.AddBolt(
-      "relay",
-      [] {
-        return std::make_unique<FunctionBolt>(
-            [](const Tuple& input, OutputCollector* out) { out->Emit(input); });
-      },
-      1, {{"src", Grouping::Shuffle()}});
+  if (!spout_broadcast) {
+    builder.AddBolt(
+        "relay",
+        [] {
+          return std::make_unique<FunctionBolt>(
+              [](const Tuple& input, OutputCollector* out) {
+                out->Emit(input);
+              });
+        },
+        1, {{"src", Grouping::Shuffle()}});
+  }
   auto store = parts->store;
+  auto cm_builds = parts->cm_builds;
   builder.AddBolt(
       "cm",
-      [store, checkpoint_every, cm_spin_micros] {
+      [store, cm_builds, checkpoint_every, cm_spin_micros] {
+        cm_builds->fetch_add(1, std::memory_order_relaxed);
         return std::make_unique<SketchBolt<CountMinSketch>>(
             CountMinSketch(512, 4),
             [cm_spin_micros](CountMinSketch& sketch, const Tuple& input) {
@@ -154,7 +165,9 @@ Topology BuildPipeline(uint64_t seed, uint64_t n, PipelineParts* parts,
             FieldKeyBatchUpdate<CountMinSketch>(0),
             SketchCheckpoint{store.get(), "cm", checkpoint_every});
       },
-      cm_parallelism, {{"relay", Grouping::Fields(0)}});
+      cm_parallelism,
+      {spout_broadcast ? Subscription{"src", Grouping::Broadcast()}
+                       : Subscription{"relay", Grouping::Fields(0)}});
   auto merged = parts->merged;
   builder.AddBolt(
       "merge",
@@ -461,19 +474,23 @@ EngineConfig TortureConfig(uint64_t seed, uint64_t k) {
   config.faults.delay_delivery_prob = 0.01;
   config.faults.delay_max_micros = 20;
   config.faults.bolt_throw_prob = 0.01;
+  config.faults.acker_loss_prob = 0.005;
   if (k % 3 == 0) {
     config.faults.queue_stall_prob = 0.02;
     config.faults.queue_stall_micros = 30;
   }
+  // Crashes on half the seeds, at the default budget of one per task.
+  if (k % 8 < 4) config.faults.task_crash_prob = 0.01;
   return config;
 }
 
 // The tentpole acceptance: across 100 seeds spanning both execution
-// modes, both delivery semantics, generator and log-replay spouts, and a
-// live fault mix (drops/dups/delays/throws/stalls), replaying the
-// recording reproduces the recorded run exactly — every per-task counter,
-// every per-kind fault count, and every sketch's state blob, byte for
-// byte.
+// modes, both delivery semantics, generator and log-replay spouts, the
+// relay and spout-broadcast shapes, and a live fault mix
+// (drops/dups/delays/throws/stalls/acker losses, crashes on half the
+// seeds), replaying the recording reproduces the recorded run exactly —
+// every per-task counter, every per-kind fault count, and every sketch's
+// state blob, byte for byte.
 TEST(RecordReplayTortureTest, HundredSeedsReplayBitIdentical) {
   const uint64_t base = TestSeed();
   const uint64_t n = 160;
@@ -482,29 +499,33 @@ TEST(RecordReplayTortureTest, HundredSeedsReplayBitIdentical) {
     const uint64_t seed = base ^ (k * 0x9e3779b9u + 1);
     const std::string path = TempPath("torture.slfr");
 
-    // Every tenth run replays a prefilled log through LogReplaySpout,
-    // exercising at-least-once redelivery emissions in the recording.
-    // Only on at-least-once seeds (k even): the log spout blocks on acks
-    // for its pending roots, which at-most-once mode never delivers.
+    // Two runs in ten, one per semantics, replay a prefilled log through
+    // LogReplaySpout; at-least-once redelivers its failed roots, and the
+    // redeliveries are emissions in the recording.
     std::shared_ptr<ReplayableLog> log;
-    if (k % 10 == 0) {
+    if (k % 10 < 2) {
       log = std::make_shared<ReplayableLog>();
       WordGen gen(seed, n);
       while (std::optional<Tuple> tuple = gen.Next()) {
         log->Append(*std::move(tuple));
       }
     }
+    // Every third run broadcasts from the spout to every cm task, with
+    // both spouts, modes and semantics among those runs.
+    const bool broadcast = k % 3 == 1;
+    auto pipeline = [&](PipelineParts* parts) {
+      return BuildPipeline(seed, n, parts, log, -1, 3, 48, 0, broadcast);
+    };
 
     const EngineConfig config = TortureConfig(seed, k);
     PipelineParts live;
-    const RecordedRun run =
-        RecordRun(path, config, BuildPipeline(seed, n, &live, log));
+    const RecordedRun run = RecordRun(path, config, pipeline(&live));
     ASSERT_TRUE(run.has_summary);
     ASSERT_FALSE(run.summary.tasks.empty());
     EXPECT_EQ(run.emissions.size(), run.summary.tasks[0].emitted);
 
     PipelineParts replayed;
-    ReplayEngine replay(BuildPipeline(seed, n, &replayed, log), run);
+    ReplayEngine replay(pipeline(&replayed), run);
     const Status prepared = replay.Prepare();
     ASSERT_TRUE(prepared.ok()) << prepared.ToString();
     EXPECT_EQ(replay.Run(), ReplayStop::kEnd);
@@ -528,18 +549,22 @@ TEST(RecordReplayTortureTest, HundredSeedsReplayBitIdentical) {
   }
 }
 
-// Chaos crash-and-restore mid-recording: a bolt task crashes (fault
-// budget > 0), restarts from its factory, and restores its sketch from
-// the checkpoint store — and the replay, maintaining its own store at the
-// same cadence, walks through the identical crash/restore and still
-// reproduces counters and state exactly. The run keeps the default batch
-// size and batch path, and the cm tasks are slow enough that their pops
-// return full batches, so a crash lands mid-batch; the replay steps one
-// message at a time.
+// Chaos crash-and-restore mid-recording: bolt tasks crash, restart from
+// their factory, and restore their sketches from the checkpoint store —
+// and the replay, maintaining its own store at the same cadence, walks
+// through the identical crashes and restores and still reproduces
+// counters and state exactly. Each task may crash once (the default
+// budget), and at p = 0.02 over ~130 updates most cm tasks spend that
+// budget and then draw crashes it denies, each on its own thread. The run
+// keeps the default batch size and batch path, and the cm tasks are slow
+// enough that their pops return full batches, so a crash lands
+// mid-batch; the replay steps one message at a time. Every recording
+// must replay exactly, with the cm tasks restarted as often as live, and
+// at least 10 of the 20 must crash more than one cm task.
 TEST(RecordReplayChaosTest, CrashAndRestoreMidRecordingReplaysIdentically) {
   const uint64_t n = 400;
-  bool crash_covered = false;
-  for (uint64_t attempt = 0; attempt < 8 && !crash_covered; attempt++) {
+  uint64_t multi_cm_crashes = 0;  // Recordings crashing >1 cm task.
+  for (uint64_t attempt = 0; attempt < 20; attempt++) {
     SCOPED_TRACE("attempt " + std::to_string(attempt));
     const uint64_t seed = TestSeed() ^ (0xc0ffee + attempt * 1315423911ull);
     const std::string path = TempPath("chaos.slfr");
@@ -550,12 +575,7 @@ TEST(RecordReplayChaosTest, CrashAndRestoreMidRecordingReplaysIdentically) {
     config.ack_timeout_seconds = 0.15;
     config.telemetry_sample_interval_ms = 0;
     config.faults.seed = seed ^ 0x5eedu;
-    // The crash budget must never bind: an exhausted budget is allocated
-    // to concurrently-firing sites in wall-clock order, which a
-    // sequential replay cannot reproduce (the contract's condition on
-    // task_crash). ~4 crash draws fire over these 400 tuples.
-    config.faults.task_crash_prob = 0.005;
-    config.faults.max_task_crashes = 64;
+    config.faults.task_crash_prob = 0.02;
     config.faults.bolt_throw_prob = 0.005;
     config.faults.drop_tuple_prob = 0.01;
     config.faults.acker_loss_prob = 0.005;
@@ -566,14 +586,10 @@ TEST(RecordReplayChaosTest, CrashAndRestoreMidRecordingReplaysIdentically) {
                   BuildPipeline(seed, n, &live, nullptr, -1, 3,
                                 /*checkpoint_every=*/32,
                                 /*cm_spin_micros=*/10));
+    std::remove(path.c_str());
     ASSERT_TRUE(run.has_summary);
-    const uint64_t crashes =
-        run.summary.faults_by_kind[static_cast<size_t>(FaultKind::kTaskCrash)];
-    if (crashes == 0) {
-      std::remove(path.c_str());
-      continue;  // This seed never crashed; try the next.
-    }
-    crash_covered = true;
+    const uint64_t cm_crashes = live.cm_builds->load() - 3;
+    if (cm_crashes > 1) multi_cm_crashes++;
 
     PipelineParts replayed;
     ReplayEngine replay(
@@ -582,6 +598,7 @@ TEST(RecordReplayChaosTest, CrashAndRestoreMidRecordingReplaysIdentically) {
     EXPECT_EQ(replay.Run(), ReplayStop::kEnd);
     const Status verdict = replay.CompareWithRecorded();
     EXPECT_TRUE(verdict.ok()) << verdict.ToString();
+    EXPECT_EQ(replayed.cm_builds->load() - 3, cm_crashes);
     EXPECT_EQ(*live.merged, *replayed.merged);
     for (uint32_t shard = 0; shard < 3; shard++) {
       Result<std::vector<uint8_t>> blob = replay.BoltStateBlob("cm", shard);
@@ -591,9 +608,10 @@ TEST(RecordReplayChaosTest, CrashAndRestoreMidRecordingReplaysIdentically) {
       ASSERT_TRUE(live_blob.ok());
       EXPECT_EQ(blob.value(), live_blob.value());
     }
-    std::remove(path.c_str());
   }
-  EXPECT_TRUE(crash_covered) << "no seed produced a mid-run task crash";
+  // Each cm task crashes with p ~ 0.93, so a recording crashes fewer than
+  // two with p ~ 0.02.
+  EXPECT_GE(multi_cm_crashes, 10u);
 }
 
 // ------------------------------------------------ fused chains replay
@@ -717,7 +735,7 @@ TEST(RecordReplayFusionTest, BoltHeadedFusedChainReplaysExactly) {
 
 // At parallelism 2 a fused shuffle feeds task i from task i, live and
 // replayed alike, so each map and sink task has exactly one producer task
-// (the contract's condition (1)) and two concurrent spout threads still
+// (the replay contract) and two concurrent spout threads still
 // replay exactly, at-least-once under every tracked fault.
 TEST(RecordReplayFusionTest, ParallelismTwoFusedChainReplaysExactly) {
   ExpectRecordedChainReplaysExactly(
@@ -893,14 +911,20 @@ TEST(ReplayInspectionTest, BoltStateBlobReportsTypedErrors) {
   EXPECT_TRUE(replay.TaskStateBlob(2).has_value());   // cm shard 0.
 }
 
-// A recording whose batch sizes pass the cap reads back, but its replay
-// refuses to build the engine instead of aborting on the allocation.
+// A recording whose batch size or queue capacity passes its cap reads
+// back, but its replay refuses to build the engine: a live engine built
+// from that config would abort on the allocation.
 TEST(ReplayInspectionTest, PrepareRejectsBatchSizesAboveTheCap) {
-  for (const bool emit : {true, false}) {
-    SCOPED_TRACE(emit ? "emit_batch_size" : "execute_batch_size");
+  const std::pair<const char*, size_t EngineConfig::*> fields[] = {
+      {"emit_batch_size", &EngineConfig::emit_batch_size},
+      {"execute_batch_size", &EngineConfig::execute_batch_size},
+      {"queue_capacity", &EngineConfig::queue_capacity},
+  };
+  for (const auto& [name, field] : fields) {
+    SCOPED_TRACE(name);
     const std::string path = TempPath("huge_batch.slfr");
     EngineConfig config;
-    (emit ? config.emit_batch_size : config.execute_batch_size) = 1ull << 62;
+    config.*field = 1ull << 62;
     PipelineParts parts;
     Result<std::unique_ptr<RunRecorder>> recorder =
         RunRecorder::Create(path, config, BuildPipeline(1, 4, &parts));
@@ -1018,27 +1042,31 @@ TEST(ReplayableLogBatchTest, PrefetchingSpoutDeliversEveryOffsetInOrder) {
     key += std::to_string(i % 7);  // false positive on "k" + to_string().
     log->Append(Tuple::Of(std::move(key), i));
   }
-  auto sink = std::make_shared<TupleSink>();
-  TopologyBuilder builder;
-  builder.AddSpout("src", [log] {
-    return std::make_unique<LogReplaySpout>(log.get(), 0, log->Size());
-  });
-  builder.AddBolt(
-      "sink", [sink] { return std::make_unique<SinkBolt>(sink.get()); }, 1,
-      {{"src", Grouping::Global()}});
-  Result<Topology> topology = builder.Build();
-  ASSERT_TRUE(topology.ok());
-  EngineConfig config;
-  config.telemetry_sample_interval_ms = 0;
-  // The log spout waits for acks on its pending roots, so it needs the
-  // at-least-once acker to make progress.
-  config.semantics = DeliverySemantics::kAtLeastOnce;
-  TopologyEngine engine(std::move(topology).value(), config);
-  engine.Run();
-  const std::vector<Tuple> seen = sink->Snapshot();
-  ASSERT_EQ(seen.size(), 300u);
-  for (size_t i = 0; i < seen.size(); i++) {
-    EXPECT_EQ(seen[i].values(), log->Read(i)->values());
+  // At-least-once acks every root; at-most-once tracks none, and the spout
+  // must finish without waiting for an ack.
+  for (const DeliverySemantics semantics :
+       {DeliverySemantics::kAtLeastOnce, DeliverySemantics::kAtMostOnce}) {
+    SCOPED_TRACE(TracksTuples(semantics) ? "at-least-once" : "at-most-once");
+    auto sink = std::make_shared<TupleSink>();
+    TopologyBuilder builder;
+    builder.AddSpout("src", [log] {
+      return std::make_unique<LogReplaySpout>(log.get(), 0, log->Size());
+    });
+    builder.AddBolt(
+        "sink", [sink] { return std::make_unique<SinkBolt>(sink.get()); }, 1,
+        {{"src", Grouping::Global()}});
+    Result<Topology> topology = builder.Build();
+    ASSERT_TRUE(topology.ok());
+    EngineConfig config;
+    config.telemetry_sample_interval_ms = 0;
+    config.semantics = semantics;
+    TopologyEngine engine(std::move(topology).value(), config);
+    engine.Run();
+    const std::vector<Tuple> seen = sink->Snapshot();
+    ASSERT_EQ(seen.size(), 300u);
+    for (size_t i = 0; i < seen.size(); i++) {
+      EXPECT_EQ(seen[i].values(), log->Read(i)->values());
+    }
   }
 }
 

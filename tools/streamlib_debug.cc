@@ -218,9 +218,7 @@ EngineConfig DemoConfig(uint64_t seed, bool faults, bool alo) {
     config.faults.delay_delivery_prob = 0.005;
     config.faults.delay_max_micros = 20;
     config.faults.bolt_throw_prob = 0.005;
-    // Crashes replay exactly while the budget never binds.
     config.faults.task_crash_prob = 0.005;
-    config.faults.max_task_crashes = 1u << 20;
   }
   // Long enough that only fault-hit roots time out, short enough that the
   // recording does not idle long waiting them out.
